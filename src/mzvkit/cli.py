@@ -25,9 +25,21 @@ DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
 
 
-def _default_order(fallback: int) -> int:
-    env = os.environ.get("MZV_DEFAULT_ORDER")
-    return int(env) if env else fallback
+def _order(args, fallback: int) -> int:
+    """The truncation order: --order, else MZV_DEFAULT_ORDER, else fallback.
+
+    Raises ValueError (exit 2) for an order below 1 from either source.
+    """
+    if args.order is not None:
+        order, source = args.order, "--order"
+    else:
+        env = os.environ.get("MZV_DEFAULT_ORDER")
+        if not env:
+            return fallback
+        order, source = int(env), "MZV_DEFAULT_ORDER"
+    if order < 1:
+        raise ValueError(f"{source} must be at least 1, got {order}")
+    return order
 
 
 def _parse_word_or_index(text: str) -> str:
@@ -52,17 +64,11 @@ def _emit(args, payload: dict, text: str):
 def cmd_verify_theorem(args) -> int:
     reports = []
     if args.eq in ("2", "all"):
-        reports.append(
-            identities.verify_duality_zeta(args.order or _default_order(DEFAULT_ORDER_EQ2))
-        )
+        reports.append(identities.verify_duality_zeta(_order(args, DEFAULT_ORDER_EQ2)))
     if args.eq in ("3", "all"):
-        reports.append(
-            identities.verify_duality_k1(args.order or _default_order(DEFAULT_ORDER_EQ3))
-        )
+        reports.append(identities.verify_duality_k1(_order(args, DEFAULT_ORDER_EQ3)))
     if args.eq in ("lemmas", "all"):
-        reports.extend(
-            identities.verify_proof_steps(args.order or _default_order(DEFAULT_ORDER_EQ3))
-        )
+        reports.extend(identities.verify_proof_steps(_order(args, DEFAULT_ORDER_EQ3)))
     if args.format == "json":
         print(_dump([r.to_dict() for r in reports]))
     else:
@@ -77,6 +83,9 @@ def cmd_verify_theorem(args) -> int:
 
 def cmd_verify_corollary(args) -> int:
     k = args.weight
+    if k < 2:
+        print(f"error: --weight must be at least 2, got {k}", file=sys.stderr)
+        return 2
     try:
         if args.m is not None or args.l is not None:
             if args.m is None or args.l is None:

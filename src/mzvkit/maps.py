@@ -4,10 +4,9 @@ dictionary between MZV indices and words."""
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 
-from .ncpoly import NcPoly, X, Y, check_word, is_admissible
+from .ncpoly import NcPoly, X, Y, accumulate, check_word, is_admissible
 
 _SWAP = str.maketrans("xy", "yx")
 
@@ -42,34 +41,16 @@ def derivation(n: int, p: NcPoly) -> NcPoly:
     equal to the input weight plus n.
     """
     gen_words = list(dn_generator(n).terms)
-    acc: dict[str, Fraction] = {}
+    acc = {}
     for w, c in p.terms.items():
         for i, ch in enumerate(w):
             cc = c if ch == X else -c
             prefix, suffix = w[:i], w[i + 1:]
-            for g in gen_words:
-                nw = prefix + g + suffix
-                prev = acc.get(nw)
-                if prev is None:
-                    acc[nw] = cc
-                else:
-                    s = prev + cc
-                    if s:
-                        acc[nw] = s
-                    else:
-                        del acc[nw]
-    return NcPoly(acc)
+            accumulate(acc, ((prefix + g + suffix, cc) for g in gen_words))
+    return NcPoly._of(acc)
 
 
 # -- MZV indices ------------------------------------------------------
-
-def index_weight(parts) -> int:
-    return sum(parts)
-
-
-def index_depth(parts) -> int:
-    return len(parts)
-
 
 def is_admissible_index(parts) -> bool:
     return bool(parts) and parts[0] >= 2

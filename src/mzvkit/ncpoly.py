@@ -23,10 +23,6 @@ def check_word(w: str) -> str:
     return w
 
 
-def word_weight(w: str) -> int:
-    return len(w)
-
-
 def is_admissible(w: str) -> bool:
     """True iff w lies in Q + xhy: empty, or starts with x and ends with y."""
     return not w or (w[0] == X and w[-1] == Y)
@@ -59,6 +55,26 @@ def bits_word(bits: int, k: int) -> str:
     return "".join(Y if (bits >> (k - 1 - i)) & 1 else X for i in range(k))
 
 
+def accumulate(acc: dict, pairs) -> dict:
+    """Add each (key, value) of pairs into acc; drop a key whose sum is zero.
+
+    The sparse sum under every NcPoly, Series3, derivation and span
+    elimination step. Values must be nonzero: the first value for a key is
+    stored without a zero test.
+    """
+    for k, v in pairs:
+        prev = acc.get(k)
+        if prev is None:
+            acc[k] = v
+        else:
+            s = prev + v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
+
+
 def _term_key(w: str):
     # canonical term order: length-lex, x < y
     return (len(w), w)
@@ -73,22 +89,18 @@ class NcPoly:
         acc: dict[str, Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for w, c in items:
-                c = Fraction(c)
-                if not c:
-                    continue
-                prev = acc.get(w)
-                if prev is None:
-                    acc[w] = c
-                else:
-                    s = prev + c
-                    if s:
-                        acc[w] = s
-                    else:
-                        del acc[w]
+            pairs = ((w, Fraction(c)) for w, c in items)
+            accumulate(acc, (wc for wc in pairs if wc[1]))
         self._terms = acc
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms: dict[str, Fraction]) -> "NcPoly":
+        """Wrap a dict that already maps words to nonzero Fractions."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "NcPoly":
@@ -113,7 +125,7 @@ class NcPoly:
         return sorted(self._terms.items(), key=lambda kv: _term_key(kv[0]))
 
     def coeff(self, w: str) -> Fraction:
-        return self._terms.get(w, Fraction(0))
+        return self._terms.get(w) or Fraction(0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -149,54 +161,26 @@ class NcPoly:
     def __add__(self, other: "NcPoly") -> "NcPoly":
         if not isinstance(other, NcPoly):
             return NotImplemented
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            prev = acc.get(w)
-            if prev is None:
-                acc[w] = c
-            else:
-                s = prev + c
-                if s:
-                    acc[w] = s
-                else:
-                    del acc[w]
-        out = NcPoly.__new__(NcPoly)
-        out._terms = acc
-        return out
+        return NcPoly._of(accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "NcPoly":
-        out = NcPoly.__new__(NcPoly)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return NcPoly._of({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         return self + (-other)
 
     def scale(self, c) -> "NcPoly":
         c = Fraction(c)
-        out = NcPoly.__new__(NcPoly)
-        out._terms = {} if not c else {w: c * v for w, v in self._terms.items()}
-        return out
+        return NcPoly._of({} if not c else {w: c * v for w, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, NcPoly):
-            acc: dict[str, Fraction] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    prev = acc.get(w)
-                    if prev is None:
-                        acc[w] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            acc[w] = s
-                        else:
-                            del acc[w]
-            out = NcPoly.__new__(NcPoly)
-            out._terms = acc
-            return out
+            # a product of nonzero rationals is nonzero, as accumulate needs;
+            # the factors are small, so a list beats a generator here
+            right = other._terms.items()
+            return NcPoly._of(accumulate({}, [
+                (w1 + w2, c1 * c2) for w1, c1 in self._terms.items() for w2, c2 in right
+            ]))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -215,9 +199,7 @@ class NcPoly:
         return out
 
     def weight_component(self, k: int) -> "NcPoly":
-        out = NcPoly.__new__(NcPoly)
-        out._terms = {w: c for w, c in self._terms.items() if len(w) == k}
-        return out
+        return NcPoly._of({w: c for w, c in self._terms.items() if len(w) == k})
 
     # -- serialization ------------------------------------------------
 
@@ -292,7 +274,3 @@ def _split_signed(text: str):
     yield sign, tokens[0]
     for op, chunk in zip(tokens[1::2], tokens[2::2]):
         yield (1 if op == "+" else -1), chunk
-
-
-ZERO = NcPoly.zero()
-ONE = NcPoly.one()

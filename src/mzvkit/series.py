@@ -12,16 +12,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .maps import derivation
-from .ncpoly import NcPoly, X, Y
+from .ncpoly import NcPoly, X, Y, accumulate
 
-VARS = ("u", "v", "w")
 VAR_AXIS = {"u": 0, "v": 1, "w": 2}
-
-Monomial3 = tuple  # (a, b, c): exponents of u, v, w
 
 
 def mono_degree(m) -> int:
     return m[0] + m[1] + m[2]
+
+
+def _mono_add(m1, m2) -> tuple:
+    return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
 
 
 def _mono_key(m):
@@ -39,20 +40,22 @@ class Series3:
         acc: dict[tuple, NcPoly] = {}
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for m, p in items:
-                m = tuple(m)
-                if mono_degree(m) > order or p.is_zero():
-                    continue
-                prev = acc.get(m)
-                q = p if prev is None else prev + p
-                if q.is_zero():
-                    acc.pop(m, None)
-                else:
-                    acc[m] = q
+            accumulate(acc, (
+                (tuple(m), p) for m, p in items if p and mono_degree(m) <= order
+            ))
         self.order = order
         self._coeffs = acc
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of(cls, order: int, coeffs: dict[tuple, NcPoly]) -> "Series3":
+        """Wrap a dict that already maps monomials of degree <= order to
+        nonzero NcPoly coefficients."""
+        out = cls.__new__(cls)
+        out.order = order
+        out._coeffs = coeffs
+        return out
 
     @classmethod
     def zero(cls, order: int) -> "Series3":
@@ -98,25 +101,13 @@ class Series3:
     def __add__(self, other: "Series3") -> "Series3":
         order = min(self.order, other.order)
         acc = {m: p for m, p in self._coeffs.items() if mono_degree(m) <= order}
-        for m, p in other._coeffs.items():
-            if mono_degree(m) > order:
-                continue
-            prev = acc.get(m)
-            q = p if prev is None else prev + p
-            if q.is_zero():
-                acc.pop(m, None)
-            else:
-                acc[m] = q
-        out = Series3.__new__(Series3)
-        out.order = order
-        out._coeffs = acc
-        return out
+        accumulate(acc, (
+            (m, p) for m, p in other._coeffs.items() if mono_degree(m) <= order
+        ))
+        return Series3._of(order, acc)
 
     def __neg__(self) -> "Series3":
-        out = Series3.__new__(Series3)
-        out.order = self.order
-        out._coeffs = {m: -p for m, p in self._coeffs.items()}
-        return out
+        return Series3._of(self.order, {m: -p for m, p in self._coeffs.items()})
 
     def __sub__(self, other: "Series3") -> "Series3":
         return self + (-other)
@@ -126,44 +117,27 @@ class Series3:
             return NotImplemented
         order = min(self.order, other.order)
         acc: dict[tuple, NcPoly] = {}
+        right = other._coeffs.items()
         for (a1, b1, c1), p in self._coeffs.items():
-            d1 = a1 + b1 + c1
-            if d1 > order:
+            room = order - (a1 + b1 + c1)
+            if room < 0:
                 continue
-            for (a2, b2, c2), q in other._coeffs.items():
-                if d1 + a2 + b2 + c2 > order:
-                    continue
-                m = (a1 + a2, b1 + b2, c1 + c2)
-                pq = p * q
-                prev = acc.get(m)
-                r = pq if prev is None else prev + pq
-                if r.is_zero():
-                    acc.pop(m, None)
-                else:
-                    acc[m] = r
-        out = Series3.__new__(Series3)
-        out.order = order
-        out._coeffs = acc
-        return out
+            # Q<x,y> has no zero divisors, so every product p * q is nonzero
+            accumulate(acc, (
+                ((a1 + a2, b1 + b2, c1 + c2), p * q)
+                for (a2, b2, c2), q in right
+                if a2 + b2 + c2 <= room
+            ))
+        return Series3._of(order, acc)
 
     def scale(self, c) -> "Series3":
         c = Fraction(c)
-        out = Series3.__new__(Series3)
-        out.order = self.order
-        out._coeffs = {} if not c else {m: p.scale(c) for m, p in self._coeffs.items()}
-        return out
+        return Series3._of(
+            self.order, {} if not c else {m: p.scale(c) for m, p in self._coeffs.items()}
+        )
 
     def truncate(self, order: int) -> "Series3":
         return Series3(order, self._coeffs)
-
-    def shift(self, mono, order: int | None = None) -> "Series3":
-        """Multiply by the central monomial u^a v^b w^c."""
-        a, b, c = mono
-        order = self.order if order is None else order
-        return Series3(
-            order,
-            {(ma + a, mb + b, mc + c): p for (ma, mb, mc), p in self._coeffs.items()},
-        )
 
     # -- substitutions ------------------------------------------------
 
@@ -255,35 +229,28 @@ def _delta_word(var: str, word: str, order: int) -> Series3:
 def delta_subst(var: str, p: NcPoly, order: int) -> Series3:
     """Delta_t via the closed-form generator images, extended multiplicatively
     over letters and linearly over terms."""
-    acc = Series3.zero(order)
+    acc: dict[tuple, NcPoly] = {}
     for w, c in p.terms.items():
-        acc = acc + _delta_word(var, w, order).scale(c)
-    return acc
+        image = _delta_word(var, w, order)._coeffs.items()
+        accumulate(acc, ((m, q.scale(c)) for m, q in image))
+    return Series3._of(order, acc)
 
 
 # -- Delta_t: exponential-of-derivations route ------------------------
 
 def _apply_big_derivation(var: str, f: Series3) -> Series3:
     """One application of D = sum_n (d_n/n) t^n to a truncated series."""
-    axis = VAR_AXIS[var]
     order = f.order
     acc: dict[tuple, NcPoly] = {}
     for m, q in f._coeffs.items():
-        room = order - mono_degree(m)
-        for n in range(1, room + 1):
-            img = derivation(n, q).scale(Fraction(1, n))
-            if img.is_zero():
-                continue
-            mm = list(m)
-            mm[axis] += n
-            key = tuple(mm)
-            prev = acc.get(key)
-            r = img if prev is None else prev + img
-            if r.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = r
-    return Series3(order, acc)
+        images = (
+            (n, derivation(n, q).scale(Fraction(1, n)))
+            for n in range(1, order - mono_degree(m) + 1)
+        )
+        accumulate(acc, (
+            (_mono_add(m, _axis_mono(var, n)), img) for n, img in images if img
+        ))
+    return Series3._of(order, acc)
 
 
 def delta_exp(var: str, p: NcPoly, order: int) -> Series3:
@@ -303,14 +270,19 @@ def delta_exp(var: str, p: NcPoly, order: int) -> Series3:
 
 def delta_on_series(var: str, f: Series3) -> Series3:
     """Apply Delta_t coefficientwise; a ring homomorphism fixing u, v, w."""
-    acc = Series3.zero(f.order)
+    acc: dict[tuple, NcPoly] = {}
     for m, q in f.items():
-        s = delta_subst(var, q, f.order - mono_degree(m))
-        acc = acc + s.shift(m, f.order)
-    return acc
+        image = delta_subst(var, q, f.order - mono_degree(m))._coeffs.items()
+        accumulate(acc, ((_mono_add(m, mm), p) for mm, p in image))
+    return Series3._of(f.order, acc)
 
 
 # -- divided difference -----------------------------------------------
+
+def _times_w(layer: dict[tuple, NcPoly]):
+    """The (a, c) -> poly pairs of one v-layer, multiplied by w."""
+    return (((a, c + 1), p) for (a, c), p in layer.items())
+
 
 def divide_by_v_minus_w(g: Series3) -> Series3:
     """Exact quotient q with (v-w)*q = g; defined when g vanishes at w=v.
@@ -330,28 +302,11 @@ def divide_by_v_minus_w(g: Series3) -> Series3:
     qb: dict[tuple, NcPoly] = {}  # current Q_b, initially Q_top = 0
     for b in range(top, 0, -1):
         # Q_{b-1} = G_b + w * Q_b
-        nxt: dict[tuple, NcPoly] = dict(layers.get(b, {}))
-        for (a, c), p in qb.items():
-            key = (a, c + 1)
-            prev = nxt.get(key)
-            r = p if prev is None else prev + p
-            if r.is_zero():
-                nxt.pop(key, None)
-            else:
-                nxt[key] = r
+        nxt = accumulate(dict(layers.get(b, {})), _times_w(qb))
         for (a, c), p in nxt.items():
             out[(a, b - 1, c)] = p
         qb = nxt
     # remainder: G_0 + w*Q_0 must vanish (implied by the diagonal check)
-    rem = dict(layers.get(0, {}))
-    for (a, c), p in qb.items():
-        key = (a, c + 1)
-        prev = rem.get(key)
-        r = p if prev is None else prev + p
-        if r.is_zero():
-            rem.pop(key, None)
-        else:
-            rem[key] = r
-    if rem:
+    if accumulate(dict(layers.get(0, {})), _times_w(qb)):
         raise ValueError("not divisible by (v-w): nonzero remainder")
     return Series3(n - 1, out)

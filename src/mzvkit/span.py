@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .identities import sum_word
 from .maps import derivation, tau
-from .ncpoly import NcPoly, admissible_words, word_bits
+from .ncpoly import NcPoly, accumulate, admissible_words, word_bits
 
 
 class NotInSpanError(Exception):
@@ -38,10 +38,10 @@ class MembershipCertificate:
 
     def expand(self) -> NcPoly:
         """Re-expand the combination by direct derivation calls (no solver)."""
-        acc = NcPoly.zero()
+        acc: dict[str, Fraction] = {}
         for n, w, c in self.combination:
-            acc = acc + derivation(n, NcPoly.word(w)).scale(c)
-        return acc
+            accumulate(acc, derivation(n, NcPoly.word(w)).scale(c).terms.items())
+        return NcPoly._of(acc)
 
     def verify(self) -> bool:
         return self.expand() == self.target
@@ -118,18 +118,9 @@ class SpanSolver:
             if not c:
                 continue
             pvec, pcombo = self.pivots[row]
-            for r, pc in pvec.items():
-                nv = vec.get(r, Fraction(0)) - c * pc
-                if nv:
-                    vec[r] = nv
-                else:
-                    vec.pop(r, None)
-            for i, pc in pcombo.items():
-                nv = combo.get(i, Fraction(0)) - c * pc
-                if nv:
-                    combo[i] = nv
-                else:
-                    combo.pop(i, None)
+            neg = -c
+            accumulate(vec, ((r, neg * pc) for r, pc in pvec.items()))
+            accumulate(combo, ((i, neg * pc) for i, pc in pcombo.items()))
 
     @property
     def rank(self) -> int:

@@ -81,6 +81,26 @@ class TestVerifyTheorem:
         assert code == 0
         assert json.loads(out)[0]["order"] == 4
 
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            (None, ("--order", "0")),
+            (None, ("--order", "-1")),
+            ("0", ()),
+            ("-3", ()),
+            ("abc", ()),
+        ],
+    )
+    def test_order_below_one_is_usage_error(self, capsys, monkeypatch, env, argv):
+        if env is None:
+            monkeypatch.delenv("MZV_DEFAULT_ORDER", raising=False)
+        else:
+            monkeypatch.setenv("MZV_DEFAULT_ORDER", env)
+        code, out, err = run(capsys, "verify", "theorem", *argv, "--eq", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestVerifyCorollary:
     def test_weight3(self, capsys):
@@ -104,6 +124,13 @@ class TestVerifyCorollary:
     def test_m_without_l_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "corollary", "--weight", "4", "--m", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("weight", ["1", "0", "-3"])
+    def test_weight_below_two_is_usage_error(self, capsys, weight):
+        code, out, err = run(capsys, "verify", "corollary", "--weight", weight)
+        assert code == 2
+        assert "PASS" not in out
+        assert err.startswith("error: ")
 
 
 class TestEvalAndResidual:

@@ -158,6 +158,27 @@ class TestDualityK1:
             assert lhs.subs_zero(var) == rhs.subs_zero(var)
 
 
+    def test_division_failure_reports_first_diagonal_monomial(self, monkeypatch):
+        # Give the Delta_v image an extra x*v, which survives on the w=v
+        # diagonal of (Delta_v - Delta_w)(...), so (v-w) no longer divides it.
+        import mzvkit.identities as identities
+
+        real = identities.delta_on_series
+
+        def perturbed(var, f):
+            out = real(var, f)
+            if var == "v":
+                out = out + Series3.single(P("x"), (0, 1, 0), f.order)
+            return out
+
+        monkeypatch.setattr(identities, "delta_on_series", perturbed)
+        report = verify_duality_k1(4)
+        assert not report.passed
+        assert report.order == 3
+        assert report.failing_monomial == (0, 1, 0)
+        assert report.failing_diff == "x"
+
+
 class TestProofSteps:
     def test_all_pass(self):
         reports = verify_proof_steps(6)

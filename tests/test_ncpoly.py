@@ -6,6 +6,7 @@ from hypothesis import given
 from conftest import polys, admissible_polys
 from mzvkit.ncpoly import (
     NcPoly,
+    accumulate,
     admissible_words,
     all_words,
     bits_word,
@@ -27,6 +28,23 @@ class TestLinearOps:
 
     def test_scale_combines(self):
         assert P("xy").scale(Fraction(3, 2)) + P("xy").scale(Fraction(1, 2)) == P("xy", 2)
+
+
+class TestAccumulate:
+    def test_sums_and_drops_cancelled_keys(self):
+        acc = {"x": Fraction(1)}
+        pairs = [("y", Fraction(2)), ("x", Fraction(-1)), ("y", Fraction(1, 2))]
+        out = accumulate(acc, pairs)
+        assert out is acc
+        assert acc == {"y": Fraction(5, 2)}
+
+    def test_constructor_drops_zero_coefficients(self):
+        assert NcPoly({"x": 0}) == NcPoly.zero()
+        assert NcPoly({"x": 0}).terms == {}
+
+    def test_constructor_drops_cancelling_pairs(self):
+        assert NcPoly([("x", 1), ("x", -1)]) == NcPoly.zero()
+        assert NcPoly([("x", 1), ("y", 2), ("x", -1)]).terms == {"y": Fraction(2)}
 
 
 class TestMul:

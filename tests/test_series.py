@@ -51,6 +51,20 @@ class TestArithmetic:
         assert f.to_dict()["order"] == 2
 
 
+class TestConstructor:
+    def test_drops_zero_coefficient(self):
+        assert Series3(3, {(0, 0, 0): NcPoly.zero()}).is_zero()
+
+    def test_drops_cancelling_entries(self):
+        f = Series3(3, [((1, 0, 0), P("xy")), ((1, 0, 0), P("xy", -1))])
+        assert f.is_zero()
+        assert f == Series3.zero(3)
+
+    def test_drops_terms_above_order(self):
+        f = Series3(2, [((1, 1, 1), P("x")), ((0, 0, 1), P("y"))])
+        assert f.items() == [((0, 0, 1), P("y"))]
+
+
 class TestGeometricInverse:
     def test_geometric_series(self):
         n = 6
