@@ -21,7 +21,6 @@ from .series import (
 )
 from .identities import (
     IdentityReport,
-    SumSpec,
     conjecture_lhs_series,
     sum_word,
     verify_duality_k1,
@@ -44,7 +43,6 @@ __all__ = [
     "NcPoly",
     "Series3",
     "IdentityReport",
-    "SumSpec",
     "MembershipCertificate",
     "NotInSpanError",
     "EvalResult",

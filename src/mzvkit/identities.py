@@ -16,23 +16,6 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class SumSpec:
-    """Parameters (k, m, l) of one fixed weight/depth/k1 sum."""
-
-    k: int
-    m: int
-    l: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.m < 1 or self.l < 1:
-            raise ValueError("k, m, l must be positive")
-
-    @property
-    def valid(self) -> bool:
-        return self.k >= self.m + self.l
-
-
 @dataclass
 class IdentityReport:
     """Outcome of one exact truncated-series equality check."""
@@ -78,6 +61,8 @@ def sum_word(k: int, m: int, l: int) -> NcPoly:
     """Sum of x^m y x^(a1) y ... x^(a_{l-1}) y over compositions
     a1+...+a_{l-1} = k-m-l; the word-side sum at fixed weight k,
     depth l and leading exponent m."""
+    if m < 1 or l < 1:
+        raise ValueError(f"m and l must be at least 1, got m={m}, l={l}")
     if k < m + l:
         raise ValueError("empty index range: need k >= m + l")
     words = []
@@ -88,79 +73,65 @@ def sum_word(k: int, m: int, l: int) -> NcPoly:
 
 # -- series building blocks -------------------------------------------
 
-def _blocks(order: int):
-    one = Series3.scalar(1, order)
-    xp = Series3.from_poly(NcPoly.word(X), order)
-    yp = Series3.from_poly(NcPoly.word(Y), order)
-    s = {
-        "1": one,
-        "x": xp,
-        "y": yp,
-        "xu": Series3.single(NcPoly.word(X), (1, 0, 0), order),
-        "xv": Series3.single(NcPoly.word(X), (0, 1, 0), order),
-        "xw": Series3.single(NcPoly.word(X), (0, 0, 1), order),
-        "yu": Series3.single(NcPoly.word(Y), (1, 0, 0), order),
-        "yv": Series3.single(NcPoly.word(Y), (0, 1, 0), order),
-        "yw": Series3.single(NcPoly.word(Y), (0, 0, 1), order),
-        # (x^2 + yx) uv, the kernel's mixed term
-        "x2yx_uv": Series3.single(
-            NcPoly.word(X + X) + NcPoly.word(Y + X), (1, 1, 0), order
-        ),
-        "v": Series3.single(NcPoly.one(), (0, 1, 0), order),
-        "w": Series3.single(NcPoly.one(), (0, 0, 1), order),
-    }
-    return s
+_UNIT = {"u": (1, 0, 0), "v": (0, 1, 0), "w": (0, 0, 1)}
+
+
+class _Blocks:
+    """The factors of the paper's generating functions at one order.
+
+    A term names a letter and a central variable: lin("xu", "yv") is
+    1 - xu - yv, and kernel(*terms) is 1 - xu - xv + (x^2 + yx)uv minus
+    the further terms.
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self.x = Series3.from_poly(NcPoly.word(X), order)
+        self.y = Series3.from_poly(NcPoly.word(Y), order)
+        self.v = Series3.single(NcPoly.one(), _UNIT["v"], order)
+        self.w = Series3.single(NcPoly.one(), _UNIT["w"], order)
+
+    def lin(self, *terms: str) -> Series3:
+        return Series3(self.order, [((0, 0, 0), NcPoly.one())] + [
+            (_UNIT[var], NcPoly.word(letter, -1)) for letter, var in terms
+        ])
+
+    def inv(self, *terms: str) -> Series3:
+        return geometric_inverse(self.lin(*terms))
+
+    def kernel(self, *terms: str) -> Series3:
+        mixed = NcPoly.word(X + X) + NcPoly.word(Y + X)
+        return self.lin("xu", "xv", *terms) + Series3.single(mixed, (1, 1, 0), self.order)
 
 
 def conjecture_lhs_series(order: int) -> Series3:
     """x/(1-xu) y 1/(1-xw-yv) (1-xw): the generating function whose
     coefficient at u^(m-1) v^(l-1) w^(k-m-l) is sum_word(k, m, l)."""
-    b = _blocks(order)
-    return (
-        b["x"]
-        * geometric_inverse(b["1"] - b["xu"])
-        * b["y"]
-        * geometric_inverse(b["1"] - b["xw"] - b["yv"])
-        * (b["1"] - b["xw"])
-    )
+    b = _Blocks(order)
+    return b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.lin("xw")
 
 
 def conjecture_lhs_split_form(order: int) -> Series3:
     """The equivalent split form x/(1-xu)y + x/(1-xu)y 1/(1-xw-yv) yv."""
-    b = _blocks(order)
-    head = b["x"] * geometric_inverse(b["1"] - b["xu"]) * b["y"]
-    return head + head * geometric_inverse(b["1"] - b["xw"] - b["yv"]) * b["yv"]
+    b = _Blocks(order)
+    head = b.x * b.inv("xu") * b.y
+    return head + head * b.inv("xw", "yv") * b.y * b.v
 
 
 def duality_k1_lhs(order: int) -> Series3:
     """x/(1-xu) y 1/(1-xw-yv) y - x 1/(1-xv-yw) x y/(1-yu)."""
-    b = _blocks(order)
-    t1 = (
-        b["x"]
-        * geometric_inverse(b["1"] - b["xu"])
-        * b["y"]
-        * geometric_inverse(b["1"] - b["xw"] - b["yv"])
-        * b["y"]
-    )
-    t2 = (
-        b["x"]
-        * geometric_inverse(b["1"] - b["xv"] - b["yw"])
-        * b["x"]
-        * b["y"]
-        * geometric_inverse(b["1"] - b["yu"])
-    )
+    b = _Blocks(order)
+    t1 = b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y
+    t2 = b.x * b.inv("xv", "yw") * b.x * b.y * b.inv("yu")
     return t1 - t2
 
 
 def duality_gf(order: int) -> Series3:
     """Full generating function of (1-tau)(sum_word): the depth-1 part plus
     v times the higher-depth part."""
-    b = _blocks(order)
-    head = (
-        b["x"] * geometric_inverse(b["1"] - b["xu"]) * b["y"]
-        - b["x"] * b["y"] * geometric_inverse(b["1"] - b["yu"])
-    )
-    return head + duality_k1_lhs(order) * b["v"]
+    b = _Blocks(order)
+    head = b.x * b.inv("xu") * b.y - b.x * b.y * b.inv("yu")
+    return head + duality_k1_lhs(order) * b.v
 
 
 # -- the main identities ----------------------------------------------
@@ -168,48 +139,25 @@ def duality_gf(order: int) -> Series3:
 def verify_duality_zeta(order: int) -> IdentityReport:
     """Check x/(1-xu)y - x y/(1-yu) = (1 - Delta_u)(x/(1-xu)y) up to the
     given order, exactly."""
-    b = _blocks(order)
-    base = b["x"] * geometric_inverse(b["1"] - b["xu"]) * b["y"]
-    lhs = base - b["x"] * b["y"] * geometric_inverse(b["1"] - b["yu"])
+    b = _Blocks(order)
+    base = b.x * b.inv("xu") * b.y
+    lhs = base - b.x * b.y * b.inv("yu")
     rhs = base - delta_on_series("u", base)
     return compare_series("duality-zeta", lhs, rhs)
-
-
-def _k1_kernel_uv(b) -> Series3:
-    """1 - xu - xv + (x^2 + yx)uv."""
-    return b["1"] - b["xu"] - b["xv"] + b["x2yx_uv"]
 
 
 def _rhs_duality_k1_parts(order: int) -> tuple[Series3, Series3]:
     """The right-hand side as (numerator, rest): the (Delta_v - Delta_w)
     numerator, still to be divided by (v-w), and the (1 - Delta_u) term at
     order-1."""
-    b = _blocks(order)
-    kernel = _k1_kernel_uv(b)
-    inner1 = (
-        b["x"]
-        * geometric_inverse(kernel)
-        * b["y"]
-        * geometric_inverse(b["1"] - b["xw"])
-        * (b["1"] - b["xw"] - b["yw"])
-    )
+    b = _Blocks(order)
+    inner1 = b.x * geometric_inverse(b.kernel()) * b.y * b.inv("xw") * b.lin("xw", "yw")
     numerator = delta_on_series("v", inner1) - delta_on_series("w", inner1)
     inner2 = (
-        b["x"]
-        * geometric_inverse(kernel - b["yw"])
-        * (b["1"] - b["xu"] - b["yu"])
-        * b["x"]
-        * geometric_inverse(b["1"] - b["xu"])
-        * b["y"]
+        b.x * geometric_inverse(b.kernel("yw")) * b.lin("xu", "yu")
+        * b.x * b.inv("xu") * b.y
     )
     return numerator, (inner2 - delta_on_series("u", inner2)).truncate(order - 1)
-
-
-def _rhs_duality_k1(order: int) -> Series3:
-    """The right-hand side: the (Delta_v - Delta_w)/(v-w) divided difference
-    plus the (1 - Delta_u) term, at order-1."""
-    numerator, rest = _rhs_duality_k1_parts(order)
-    return divide_by_v_minus_w(numerator) + rest
 
 
 def verify_duality_k1(order: int) -> IdentityReport:
@@ -236,55 +184,43 @@ def verify_proof_steps(order: int) -> list[IdentityReport]:
     exact truncated-series equality."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    b = _blocks(order)
-    kernel = _k1_kernel_uv(b)
-    kernel_w = kernel - b["yw"]
-    inv_yu = geometric_inverse(b["1"] - b["yu"])
-    reports = [
+    b = _Blocks(order)
+    kernel, kernel_w, inv_yu = b.kernel(), b.kernel("yw"), b.inv("yu")
+    return [
         compare_series(
             "lemma-1: Delta_u(1-xu)",
-            delta_on_series("u", b["1"] - b["xu"]),
-            (b["1"] - b["xu"] - b["yu"]) * inv_yu,
+            delta_on_series("u", b.lin("xu")),
+            b.lin("xu", "yu") * inv_yu,
         ),
         compare_series(
             "lemma-2: Delta_u(kernel-yw)",
             delta_on_series("u", kernel_w),
-            (b["1"] - b["xu"] - b["yu"]) * (b["1"] - b["xv"] - b["yw"]) * inv_yu,
+            b.lin("xu", "yu") * b.lin("xv", "yw") * inv_yu,
         ),
         compare_series(
             "lemma-3: Delta_v(kernel)",
             delta_on_series("v", kernel),
-            (b["1"] - b["xv"] - b["yv"])
-            * (b["1"] - b["xu"])
-            * geometric_inverse(b["1"] - b["yv"]),
+            b.lin("xv", "yv") * b.lin("xu") * b.inv("yv"),
         ),
         compare_series(
             "lemma-4: Delta_w(kernel)",
             delta_on_series("w", kernel),
-            kernel_w * geometric_inverse(b["1"] - b["yw"]),
+            kernel_w * b.inv("yw"),
         ),
         compare_series(
             "closing identity",
-            (b["v"] - b["w"])
-            * (b["1"] - b["xu"] - b["yu"])
-            * b["x"]
-            * geometric_inverse(b["1"] - b["xu"])
-            - (b["1"] - b["xw"] - b["yw"]),
-            -(kernel_w * geometric_inverse(b["1"] - b["xu"])),
+            (b.v - b.w) * b.lin("xu", "yu") * b.x * b.inv("xu") - b.lin("xw", "yw"),
+            -(kernel_w * b.inv("xu")),
         ),
     ]
-    return reports
 
 
 def lemma2_swapped_control(order: int) -> IdentityReport:
     """Negative control: lemma 2 with the two noncommuting factors permuted.
     Expected to FAIL."""
-    b = _blocks(order)
-    kernel_w = _k1_kernel_uv(b) - b["yw"]
+    b = _Blocks(order)
     return compare_series(
         "lemma-2 swapped factors (negative control)",
-        delta_on_series("u", kernel_w),
-        (b["1"] - b["xv"] - b["yw"])
-        * (b["1"] - b["xu"] - b["yu"])
-        * geometric_inverse(b["1"] - b["yu"]),
+        delta_on_series("u", b.kernel("yw")),
+        b.lin("xv", "yw") * b.lin("xu", "yu") * b.inv("yu"),
     )

@@ -226,14 +226,21 @@ def _delta_word(var: str, word: str, order: int) -> Series3:
     return res * _delta_letter(var, word[-1], order)
 
 
+def delta_on_series(var: str, f: Series3) -> Series3:
+    """Apply Delta_t coefficientwise; a ring homomorphism fixing u, v, w."""
+    acc: dict[tuple, NcPoly] = {}
+    for m, q in f._coeffs.items():
+        room = f.order - mono_degree(m)
+        for w, c in q.terms.items():
+            image = _delta_word(var, w, room)._coeffs.items()
+            accumulate(acc, ((_mono_add(m, mm), p.scale(c)) for mm, p in image))
+    return Series3._of(f.order, acc)
+
+
 def delta_subst(var: str, p: NcPoly, order: int) -> Series3:
     """Delta_t via the closed-form generator images, extended multiplicatively
     over letters and linearly over terms."""
-    acc: dict[tuple, NcPoly] = {}
-    for w, c in p.terms.items():
-        image = _delta_word(var, w, order)._coeffs.items()
-        accumulate(acc, ((m, q.scale(c)) for m, q in image))
-    return Series3._of(order, acc)
+    return delta_on_series(var, Series3.from_poly(p, order))
 
 
 # -- Delta_t: exponential-of-derivations route ------------------------
@@ -268,45 +275,18 @@ def delta_exp(var: str, p: NcPoly, order: int) -> Series3:
     return total
 
 
-def delta_on_series(var: str, f: Series3) -> Series3:
-    """Apply Delta_t coefficientwise; a ring homomorphism fixing u, v, w."""
-    acc: dict[tuple, NcPoly] = {}
-    for m, q in f.items():
-        image = delta_subst(var, q, f.order - mono_degree(m))._coeffs.items()
-        accumulate(acc, ((_mono_add(m, mm), p) for mm, p in image))
-    return Series3._of(f.order, acc)
-
-
 # -- divided difference -----------------------------------------------
-
-def _times_w(layer: dict[tuple, NcPoly]):
-    """The (a, c) -> poly pairs of one v-layer, multiplied by w."""
-    return (((a, c + 1), p) for (a, c), p in layer.items())
-
 
 def divide_by_v_minus_w(g: Series3) -> Series3:
     """Exact quotient q with (v-w)*q = g; defined when g vanishes at w=v.
 
-    Univariate division in v over w-coefficients; the result has order
-    reduced by one.
+    Then g = g - g|_(v=w), so each term p u^a v^b w^c contributes
+    p u^a (v^b - w^b)/(v-w) w^c = sum_{i<b} p u^a v^i w^(b-1-i+c). The
+    result has order reduced by one.
     """
     if not g.diagonal_vw().is_zero():
         raise ValueError("not divisible by (v-w): diagonal w=v is nonzero")
-    n = g.order
-    # group by v-exponent: b -> {(a,c): poly}
-    layers: dict[int, dict[tuple, NcPoly]] = {}
-    for (a, b, c), p in g._coeffs.items():
-        layers.setdefault(b, {})[(a, c)] = p
-    top = max(layers, default=0)
     out: dict[tuple, NcPoly] = {}
-    qb: dict[tuple, NcPoly] = {}  # current Q_b, initially Q_top = 0
-    for b in range(top, 0, -1):
-        # Q_{b-1} = G_b + w * Q_b
-        nxt = accumulate(dict(layers.get(b, {})), _times_w(qb))
-        for (a, c), p in nxt.items():
-            out[(a, b - 1, c)] = p
-        qb = nxt
-    # remainder: G_0 + w*Q_0 must vanish (implied by the diagonal check)
-    if accumulate(dict(layers.get(0, {})), _times_w(qb)):
-        raise ValueError("not divisible by (v-w): nonzero remainder")
-    return Series3(n - 1, out)
+    for (a, b, c), p in g._coeffs.items():
+        accumulate(out, (((a, i, b - 1 - i + c), p) for i in range(b)))
+    return Series3(g.order - 1, out)

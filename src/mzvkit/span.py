@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .identities import sum_word
 from .maps import derivation, tau
-from .ncpoly import NcPoly, accumulate, admissible_words, word_bits
+from .ncpoly import NcPoly, accumulate, admissible_words
 
 
 class NotInSpanError(Exception):
@@ -78,31 +78,22 @@ def span_basis(k: int) -> SpanBasis:
     return SpanBasis(k, gens)
 
 
-def _poly_vec(p: NcPoly, k: int) -> dict[int, Fraction]:
-    """Dense row index = bit-encoding of the weight-k word (x=0, y=1)."""
-    vec = {}
-    for w, c in p.terms.items():
-        if len(w) != k:
-            raise ValueError(f"mixed weight: expected homogeneous of weight {k}")
-        vec[word_bits(w)] = c
-    return vec
-
-
 class SpanSolver:
     """Reduced column basis of the derivation span at one weight.
 
-    Pivot rule: columns processed in generator order, pivot at the first
-    nonzero row (ascending bit index); deterministic by construction and
-    tolerant of linearly dependent generators.
+    Rows are the words of the weight. Pivot rule: columns processed in
+    generator order, pivot at the first nonzero row (least word, x < y);
+    deterministic by construction and tolerant of linearly dependent
+    generators.
     """
 
     def __init__(self, k: int):
         self.weight = k
         self.basis = span_basis(k) if k >= 2 else SpanBasis(k, [])
         # pivot row -> (column vector, combination over generator indices)
-        self.pivots: dict[int, tuple[dict[int, Fraction], dict[int, Fraction]]] = {}
+        self.pivots: dict[str, tuple[dict[str, Fraction], dict[int, Fraction]]] = {}
         for j, gen in enumerate(self.basis.generators):
-            vec = _poly_vec(gen.image, k)
+            vec = gen.image.terms
             combo = {j: Fraction(1)}
             self._reduce(vec, combo)
             if vec:
@@ -112,7 +103,7 @@ class SpanSolver:
                 combo = {i: c / lead for i, c in combo.items()}
                 self.pivots[row] = (vec, combo)
 
-    def _reduce(self, vec: dict[int, Fraction], combo: dict[int, Fraction]):
+    def _reduce(self, vec: dict[str, Fraction], combo: dict[int, Fraction]):
         for row in sorted(self.pivots):
             c = vec.get(row)
             if not c:
@@ -133,7 +124,7 @@ class SpanSolver:
             return MembershipCertificate(target, [])
         if not target.is_homogeneous(self.weight):
             raise ValueError(f"mixed weight: target not homogeneous of weight {self.weight}")
-        vec = _poly_vec(target, self.weight)
+        vec = target.terms
         combo: dict[int, Fraction] = {}
         # target = sum over pivots used; reduce and collect with sign flip
         self._reduce(vec, combo)

@@ -132,6 +132,15 @@ class TestVerifyCorollary:
         assert "PASS" not in out
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("m, l", [("2", "0"), ("0", "2"), ("-1", "2")])
+    def test_m_or_l_below_one_is_usage_error(self, capsys, m, l):
+        code, out, err = run(
+            capsys, "verify", "corollary", "--weight", "5", "--m", m, "--l", l
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "FAIL" not in out + err
+
 
 class TestEvalAndResidual:
     def test_eval(self, capsys):

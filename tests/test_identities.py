@@ -4,7 +4,6 @@ import pytest
 
 from mzvkit.identities import (
     IdentityReport,
-    SumSpec,
     compare_series,
     compositions,
     conjecture_lhs_series,
@@ -60,13 +59,12 @@ class TestSumWord:
         assert list(compositions(0, 0)) == [()]
         assert list(compositions(2, 0)) == []
 
-
-class TestSumSpec:
-    def test_validity(self):
-        assert SumSpec(5, 2, 3).valid
-        assert not SumSpec(4, 2, 3).valid
+    @pytest.mark.parametrize(
+        "k, m, l", [(5, 2, 0), (5, 0, 2), (5, -1, 2), (0, 1, 1), (4, 2, 3)]
+    )
+    def test_rejects_invalid_parameters(self, k, m, l):
         with pytest.raises(ValueError):
-            SumSpec(0, 1, 1)
+            sum_word(k, m, l)
 
 
 class TestGeneratingFunction:
@@ -122,14 +120,11 @@ class TestDualityZeta:
 
     def test_u_coefficients_are_dualized_single_zetas(self):
         # build both sides separately: coefficient of u^m is (1-tau)(x^(m+1)y)
-        from mzvkit.identities import _blocks
-        from mzvkit.series import geometric_inverse
+        from mzvkit.identities import _Blocks
 
         order = 8
-        b = _blocks(order)
-        lhs = b["x"] * geometric_inverse(b["1"] - b["xu"]) * b["y"] - b["x"] * b[
-            "y"
-        ] * geometric_inverse(b["1"] - b["yu"])
+        b = _Blocks(order)
+        lhs = b.x * b.inv("xu") * b.y - b.x * b.y * b.inv("yu")
         assert lhs.coeff((0, 0, 0)).is_zero()
         assert lhs.coeff((1, 0, 0)) == P("xxy") + P("xyy", -1)
         for m in range(order + 1):
@@ -149,11 +144,13 @@ class TestDualityK1:
 
     def test_specializations_reproduce_kawasaki_tanaka_cases(self):
         # u=0 and v=0 in the identity each still hold
-        from mzvkit.identities import _rhs_duality_k1, duality_k1_lhs
+        from mzvkit.identities import _rhs_duality_k1_parts, duality_k1_lhs
+        from mzvkit.series import divide_by_v_minus_w
 
         order = 5
         lhs = duality_k1_lhs(order).truncate(order - 1)
-        rhs = _rhs_duality_k1(order)
+        numerator, rest = _rhs_duality_k1_parts(order)
+        rhs = divide_by_v_minus_w(numerator) + rest
         for var in ("u", "v"):
             assert lhs.subs_zero(var) == rhs.subs_zero(var)
 

@@ -229,6 +229,31 @@ class TestDivideByVMinusW:
         q = divide_by_v_minus_w(g)
         assert ((v - w).truncate(n - 1) * q) == g.truncate(n - 1)
 
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_whole_quotient_of_random_multiple(self, n):
+        # h has multi-word coefficients, v-exponents up to n-1 and total
+        # degree <= n-1, so (v-w)*h is exact at order n
+        rng = random.Random(20261018 + n)
+
+        def poly():
+            return NcPoly(
+                ("".join(rng.choice("xy") for _ in range(rng.randrange(4))),
+                 Fraction(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1)))
+                for _ in range(3)
+            )
+
+        terms = [((0, n - 1, 0), poly())]
+        for _ in range(30):
+            b = rng.randrange(n)
+            a = rng.randrange(n - b)
+            terms.append(((a, b, rng.randrange(n - a - b)), poly()))
+        h = Series3(n, terms)
+        assert max(b for (_, b, _), _ in h.items()) == n - 1
+        assert max(len(p) for _, p in h.items()) > 1
+        v = Series3.single(NcPoly.one(), (0, 1, 0), n)
+        w = Series3.single(NcPoly.one(), (0, 0, 1), n)
+        assert divide_by_v_minus_w((v - w) * h) == h.truncate(n - 1)
+
     def test_rejects_nonvanishing_diagonal(self):
         n = 3
         v = Series3.single(NcPoly.one(), (0, 1, 0), n)

@@ -1,4 +1,5 @@
-"""The traced benchmark child must find every library name it wraps."""
+"""Scripts outside the package that import it: the traced benchmark child
+must find every library name it wraps, and every demo must run."""
 
 import json
 import os
@@ -6,21 +7,40 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mzvkit
 
-TRACE_CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "trace_child.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _env():
+    """The environment with PYTHONPATH led by the suite's src."""
+    env = dict(os.environ)
+    src = str(Path(mzvkit.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_trace_child_wraps_every_traced_name(tmp_path):
     out = tmp_path / "trace.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(mzvkit.__file__).parent.parent)
     r = subprocess.run(
         [sys.executable, str(TRACE_CHILD), str(out), "--format", "json", "dual", "(4)"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        capture_output=True, text=True, cwd=tmp_path, env=_env(),
     )
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == {"dual": "(2,1,1)"}
     summary = json.loads(out.read_text())
     assert "by_name" in summary
     assert summary["by_name"]["cli.main"]["calls"] == 1
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    r = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, cwd=tmp_path, env=_env(),
+    )
+    assert r.returncode == 0, r.stderr
