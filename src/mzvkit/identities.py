@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from .ncpoly import NcPoly, X, Y
 from .series import (
+    NotDivisibleError,
     Series3,
     delta_on_series,
     divide_by_v_minus_w,
@@ -48,6 +49,8 @@ def compare_series(name: str, lhs: Series3, rhs: Series3) -> IdentityReport:
 
 def compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts < 0:
+        raise ValueError(f"parts must be >= 0, got {parts}")
     if parts == 0:
         if total == 0:
             yield ()
@@ -73,35 +76,42 @@ def sum_word(k: int, m: int, l: int) -> NcPoly:
 
 # -- series building blocks -------------------------------------------
 
-_UNIT = {"u": (1, 0, 0), "v": (0, 1, 0), "w": (0, 0, 1)}
-
-
 class _Blocks:
-    """The factors of the paper's generating functions at one order.
+    """The factors of the paper's generating functions at one order, or
+    their Delta_var-images.
 
     A term names a letter and a central variable: lin("xu", "yv") is
     1 - xu - yv, and kernel(*terms) is 1 - xu - xv + (x^2 + yx)uv minus
-    the further terms.
+    the further terms. Delta_t is a ring homomorphism fixing u, v, w, so
+    with var = t every factor, and any product of them, is the Delta_t-image
+    of the same expression built on _Blocks(order): only x and y change, to
+    delta_on_series(t, x) and delta_on_series(t, y).
     """
 
-    def __init__(self, order: int):
+    def __init__(self, order: int, var: str | None = None):
         self.order = order
         self.x = Series3.from_poly(NcPoly.word(X), order)
         self.y = Series3.from_poly(NcPoly.word(Y), order)
-        self.v = Series3.single(NcPoly.one(), _UNIT["v"], order)
-        self.w = Series3.single(NcPoly.one(), _UNIT["w"], order)
+        if var is not None:
+            self.x = delta_on_series(var, self.x)
+            self.y = delta_on_series(var, self.y)
+        self.u, self.v, self.w = (
+            Series3.single(NcPoly.one(), mono, order)
+            for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        )
 
     def lin(self, *terms: str) -> Series3:
-        return Series3(self.order, [((0, 0, 0), NcPoly.one())] + [
-            (_UNIT[var], NcPoly.word(letter, -1)) for letter, var in terms
-        ])
+        out = Series3.scalar(1, self.order)
+        for letter, var in terms:
+            out = out - getattr(self, letter) * getattr(self, var)
+        return out
 
     def inv(self, *terms: str) -> Series3:
         return geometric_inverse(self.lin(*terms))
 
     def kernel(self, *terms: str) -> Series3:
-        mixed = NcPoly.word(X + X) + NcPoly.word(Y + X)
-        return self.lin("xu", "xv", *terms) + Series3.single(mixed, (1, 1, 0), self.order)
+        mixed = (self.x * self.x + self.y * self.x) * self.u * self.v
+        return self.lin("xu", "xv", *terms) + mixed
 
 
 def conjecture_lhs_series(order: int) -> Series3:
@@ -136,13 +146,33 @@ def duality_gf(order: int) -> Series3:
 
 # -- the main identities ----------------------------------------------
 
+def _zeta_base(b: _Blocks) -> Series3:
+    """x/(1-xu) y."""
+    return b.x * b.inv("xu") * b.y
+
+
+def _inner1(b: _Blocks) -> Series3:
+    """x 1/kernel y 1/(1-xw) (1-xw-yw): (Delta_v - Delta_w) of it is the
+    numerator of the k1 identity."""
+    return b.x * geometric_inverse(b.kernel()) * b.y * b.inv("xw") * b.lin("xw", "yw")
+
+
+def _inner2(b: _Blocks) -> Series3:
+    """x 1/(kernel-yw) (1-xu-yu) x/(1-xu) y: the (1 - Delta_u) term of the
+    k1 identity."""
+    return (
+        b.x * geometric_inverse(b.kernel("yw")) * b.lin("xu", "yu")
+        * b.x * b.inv("xu") * b.y
+    )
+
+
 def verify_duality_zeta(order: int) -> IdentityReport:
     """Check x/(1-xu)y - x y/(1-yu) = (1 - Delta_u)(x/(1-xu)y) up to the
     given order, exactly."""
     b = _Blocks(order)
-    base = b.x * b.inv("xu") * b.y
+    base = _zeta_base(b)
     lhs = base - b.x * b.y * b.inv("yu")
-    rhs = base - delta_on_series("u", base)
+    rhs = base - _zeta_base(_Blocks(order, "u"))
     return compare_series("duality-zeta", lhs, rhs)
 
 
@@ -150,14 +180,9 @@ def _rhs_duality_k1_parts(order: int) -> tuple[Series3, Series3]:
     """The right-hand side as (numerator, rest): the (Delta_v - Delta_w)
     numerator, still to be divided by (v-w), and the (1 - Delta_u) term at
     order-1."""
-    b = _Blocks(order)
-    inner1 = b.x * geometric_inverse(b.kernel()) * b.y * b.inv("xw") * b.lin("xw", "yw")
-    numerator = delta_on_series("v", inner1) - delta_on_series("w", inner1)
-    inner2 = (
-        b.x * geometric_inverse(b.kernel("yw")) * b.lin("xu", "yu")
-        * b.x * b.inv("xu") * b.y
-    )
-    return numerator, (inner2 - delta_on_series("u", inner2)).truncate(order - 1)
+    numerator = _inner1(_Blocks(order, "v")) - _inner1(_Blocks(order, "w"))
+    rest = _inner2(_Blocks(order)) - _inner2(_Blocks(order, "u"))
+    return numerator, rest.truncate(order - 1)
 
 
 def verify_duality_k1(order: int) -> IdentityReport:
@@ -169,14 +194,14 @@ def verify_duality_k1(order: int) -> IdentityReport:
     if order < 1:
         raise ValueError("order must be >= 1")
     numerator, rest = _rhs_duality_k1_parts(order)
-    diagonal = numerator.diagonal_vw()
-    if not diagonal.is_zero():
-        m = diagonal.first_nonzero()
+    try:
+        quotient = divide_by_v_minus_w(numerator)
+    except NotDivisibleError as err:
         return IdentityReport(
-            "duality-k1", order - 1, False, m, diagonal.coeff(m).render()
+            "duality-k1", order - 1, False, err.monomial, err.coeff.render()
         )
     lhs = duality_k1_lhs(order).truncate(order - 1)
-    return compare_series("duality-k1", lhs, divide_by_v_minus_w(numerator) + rest)
+    return compare_series("duality-k1", lhs, quotient + rest)
 
 
 def verify_proof_steps(order: int) -> list[IdentityReport]:

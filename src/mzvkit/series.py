@@ -183,19 +183,29 @@ class Series3:
 
 
 def geometric_inverse(f: Series3) -> Series3:
-    """Two-sided inverse mod degree order+1, via the Neumann series
-    sum_j (1-f)^j; requires constant coefficient exactly 1."""
+    """Two-sided inverse mod degree order+1; requires constant coefficient
+    exactly 1.
+
+    With e = 1 - f split by total degree, g = 1 + e*g gives g_0 = 1 and
+    g_d = sum_{j=1..d} e_j g_(d-j): one pass over degrees.
+    """
     if f.coeff((0, 0, 0)) != NcPoly.one():
         raise ValueError("not invertible at this truncation: constant term != 1")
-    e = Series3.scalar(1, f.order) - f  # every term has total degree >= 1
-    acc = Series3.scalar(1, f.order)
-    power = Series3.scalar(1, f.order)
-    for _ in range(f.order):
-        power = power * e
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc
+    order = f.order
+    e: list[list] = [[] for _ in range(order + 1)]
+    for m, p in f._coeffs.items():
+        if m != (0, 0, 0):
+            e[mono_degree(m)].append((m, -p))
+    g = [[((0, 0, 0), NcPoly.one())]]
+    for d in range(1, order + 1):
+        acc: dict[tuple, NcPoly] = {}
+        for j in range(1, d + 1):
+            right = g[d - j]
+            for m1, p in e[j]:
+                # Q<x,y> has no zero divisors, so every product p * q is nonzero
+                accumulate(acc, ((_mono_add(m1, m2), p * q) for m2, q in right))
+        g.append(list(acc.items()))
+    return Series3._of(order, {m: p for layer in g for m, p in layer})
 
 
 # -- Delta_t: closed-form substitution route --------------------------
@@ -277,15 +287,31 @@ def delta_exp(var: str, p: NcPoly, order: int) -> Series3:
 
 # -- divided difference -----------------------------------------------
 
+class NotDivisibleError(ValueError):
+    """(v-w) does not divide a series: its w=v diagonal has the nonzero
+    coefficient `coeff` at `monomial`, the first in (total degree, a, b, c)
+    order."""
+
+    def __init__(self, monomial: tuple, coeff: NcPoly):
+        super().__init__(
+            f"not divisible by (v-w): diagonal w=v is nonzero at {monomial}"
+        )
+        self.monomial = monomial
+        self.coeff = coeff
+
+
 def divide_by_v_minus_w(g: Series3) -> Series3:
-    """Exact quotient q with (v-w)*q = g; defined when g vanishes at w=v.
+    """Exact quotient q with (v-w)*q = g; defined when g vanishes at w=v,
+    else NotDivisibleError.
 
     Then g = g - g|_(v=w), so each term p u^a v^b w^c contributes
     p u^a (v^b - w^b)/(v-w) w^c = sum_{i<b} p u^a v^i w^(b-1-i+c). The
     result has order reduced by one.
     """
-    if not g.diagonal_vw().is_zero():
-        raise ValueError("not divisible by (v-w): diagonal w=v is nonzero")
+    diagonal = g.diagonal_vw()
+    if not diagonal.is_zero():
+        m = diagonal.first_nonzero()
+        raise NotDivisibleError(m, diagonal.coeff(m))
     out: dict[tuple, NcPoly] = {}
     for (a, b, c), p in g._coeffs.items():
         accumulate(out, (((a, i, b - 1 - i + c), p) for i in range(b)))

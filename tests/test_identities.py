@@ -17,7 +17,7 @@ from mzvkit.identities import (
 )
 from mzvkit.maps import tau
 from mzvkit.ncpoly import NcPoly
-from mzvkit.series import Series3
+from mzvkit.series import Series3, delta_on_series
 
 
 def P(w, c=1):
@@ -58,6 +58,11 @@ class TestSumWord:
         assert len(list(compositions(3, 2))) == 4
         assert list(compositions(0, 0)) == [()]
         assert list(compositions(2, 0)) == []
+
+    @pytest.mark.parametrize("total, parts", [(3, -1), (0, -1), (2, -5)])
+    def test_compositions_reject_negative_parts(self, total, parts):
+        with pytest.raises(ValueError):
+            list(compositions(total, parts))
 
     @pytest.mark.parametrize(
         "k, m, l", [(5, 2, 0), (5, 0, 2), (5, -1, 2), (0, 1, 1), (4, 2, 3)]
@@ -156,8 +161,12 @@ class TestDualityK1:
 
 
     def test_division_failure_reports_first_diagonal_monomial(self, monkeypatch):
-        # Give the Delta_v image an extra x*v, which survives on the w=v
-        # diagonal of (Delta_v - Delta_w)(...), so (v-w) no longer divides it.
+        # Give the Delta_v images of the letters x and y an extra x*v each,
+        # which survives on the w=v diagonal of (Delta_v - Delta_w)(inner1),
+        # so (v-w) no longer divides it. inner1 = x (1/kernel) y ... has
+        # constant term xy; at degree 1 in v the extra terms give
+        # (x*v)*y + x*(x*v) = (xy + xx)v, and the kernel and (1-xw) factors
+        # only carry them to degree 2 and above.
         import mzvkit.identities as identities
 
         real = identities.delta_on_series
@@ -173,7 +182,23 @@ class TestDualityK1:
         assert not report.passed
         assert report.order == 3
         assert report.failing_monomial == (0, 1, 0)
-        assert report.failing_diff == "x"
+        assert report.failing_diff == "xx + xy"
+
+
+class TestFactorwiseDelta:
+    # The Delta_t-image of a generating function built on _Blocks(n, t)
+    # must equal delta_on_series applied to the expanded product.
+    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize(
+        "build, var",
+        [("_inner1", "v"), ("_inner1", "w"), ("_inner2", "u"), ("_zeta_base", "u")],
+    )
+    def test_matches_expanded_route(self, build, var, order):
+        import mzvkit.identities as identities
+
+        f = getattr(identities, build)
+        expanded = delta_on_series(var, f(identities._Blocks(order)))
+        assert f(identities._Blocks(order, var)) == expanded
 
 
 class TestProofSteps:

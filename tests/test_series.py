@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import polys
 from mzvkit.ncpoly import NcPoly, admissible_words, all_words
 from mzvkit.series import (
+    NotDivisibleError,
     Series3,
     delta_exp,
     delta_on_series,
@@ -98,6 +99,33 @@ class TestGeometricInverse:
         g = geometric_inverse(f)
         assert f * g == one(n)
         assert g * f == one(n)
+
+    def test_random_three_variable_against_neumann_sum(self):
+        # e = 1 - f has multi-word coefficients at degrees 1, 2 and 3
+        n = 5
+        rng = random.Random(20261018)
+
+        def poly():
+            return NcPoly(
+                ("".join(rng.choice("xy") for _ in range(rng.randrange(1, 4))),
+                 Fraction(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1)))
+                for _ in range(3)
+            )
+
+        monos = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (2, 0, 0),
+                 (1, 1, 1), (0, 0, 3), (2, 1, 0)]
+        e = Series3(n, [(m, poly()) for m in monos])
+        assert {sum(m) for m, _ in e.items()} == {1, 2, 3}
+        assert all(len(p) > 1 for _, p in e.items())
+        f = one(n) - e
+        g = geometric_inverse(f)
+        assert f * g == one(n)
+        assert g * f == one(n)
+        neumann, power = one(n), one(n)
+        for _ in range(n):
+            power = power * e
+            neumann = neumann + power
+        assert g == neumann
 
     def test_inverse_of_inverse(self):
         n = 4
@@ -253,6 +281,17 @@ class TestDivideByVMinusW:
         v = Series3.single(NcPoly.one(), (0, 1, 0), n)
         w = Series3.single(NcPoly.one(), (0, 0, 1), n)
         assert divide_by_v_minus_w((v - w) * h) == h.truncate(n - 1)
+
+    def test_error_names_first_diagonal_monomial(self):
+        n = 3
+        v = Series3.single(NcPoly.one(), (0, 1, 0), n)
+        w = Series3.single(NcPoly.one(), (0, 0, 1), n)
+        g = (v - w) * v + Series3.single(P("xy", 2), (1, 0, 1), n) + v * w * w
+        with pytest.raises(NotDivisibleError) as info:
+            divide_by_v_minus_w(g)
+        # w=v sends u*w to u*v and v*w^2 to v^3; u*v has the lower degree
+        assert info.value.monomial == (1, 1, 0)
+        assert info.value.coeff == P("xy", 2)
 
     def test_rejects_nonvanishing_diagonal(self):
         n = 3
