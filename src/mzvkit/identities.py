@@ -178,11 +178,11 @@ def verify_duality_zeta(order: int) -> IdentityReport:
 
 def _rhs_duality_k1_parts(order: int) -> tuple[Series3, Series3]:
     """The right-hand side as (numerator, rest): the (Delta_v - Delta_w)
-    numerator, still to be divided by (v-w), and the (1 - Delta_u) term at
-    order-1."""
+    numerator, still to be divided by (v-w), and the (1 - Delta_u) term,
+    built directly at order-1 (only the numerator needs the extra degree)."""
     numerator = _inner1(_Blocks(order, "v")) - _inner1(_Blocks(order, "w"))
-    rest = _inner2(_Blocks(order)) - _inner2(_Blocks(order, "u"))
-    return numerator, rest.truncate(order - 1)
+    rest = _inner2(_Blocks(order - 1)) - _inner2(_Blocks(order - 1, "u"))
+    return numerator, rest
 
 
 def verify_duality_k1(order: int) -> IdentityReport:
@@ -200,8 +200,7 @@ def verify_duality_k1(order: int) -> IdentityReport:
         return IdentityReport(
             "duality-k1", order - 1, False, err.monomial, err.coeff.render()
         )
-    lhs = duality_k1_lhs(order).truncate(order - 1)
-    return compare_series("duality-k1", lhs, quotient + rest)
+    return compare_series("duality-k1", duality_k1_lhs(order - 1), quotient + rest)
 
 
 def verify_proof_steps(order: int) -> list[IdentityReport]:

@@ -43,18 +43,6 @@ def admissible_words(k: int):
             yield X + mid + Y
 
 
-def word_bits(w: str) -> int:
-    """Dense integer index of a word among all words of its weight (x=0, y=1)."""
-    b = 0
-    for ch in w:
-        b = (b << 1) | (ch == Y)
-    return b
-
-
-def bits_word(bits: int, k: int) -> str:
-    return "".join(Y if (bits >> (k - 1 - i)) & 1 else X for i in range(k))
-
-
 def accumulate(acc: dict, pairs) -> dict:
     """Add each (key, value) of pairs into acc; drop a key whose sum is zero.
 
@@ -256,9 +244,22 @@ class NcPoly:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NcPoly":
-        return cls(
-            (t["word"], Fraction(t["coeff"])) for t in data["terms"]
-        )
+        """Inverse of to_dict(). Raises ValueError naming the first missing
+        or ill-typed field."""
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise ValueError("polynomial needs a 'terms' list")
+        terms = []
+        for i, t in enumerate(data["terms"]):
+            if not isinstance(t, dict) or not isinstance(t.get("word"), str):
+                raise ValueError(f"terms[{i}] needs a 'word' string")
+            if "coeff" not in t:
+                raise ValueError(f"terms[{i}] needs a 'coeff'")
+            try:
+                c = Fraction(t["coeff"])
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"terms[{i}].coeff is not a rational: {t['coeff']!r}") from None
+            terms.append((check_word(t["word"]), c))
+        return cls(terms)
 
     def __repr__(self) -> str:
         return f"NcPoly({self.render()})"

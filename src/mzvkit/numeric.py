@@ -4,6 +4,16 @@ Dirichlet series with explicit (crude) tail bounds.
 This layer is a sanity net for the symbolic results, not a precision
 instrument; everything is double precision with a fixed summation order,
 so results are deterministic for a fixed cutoff.
+
+One kernel evaluates every index of a combination in a single pass. The
+indices go, reversed, into a suffix trie, so indices that share their
+inner parts (k_j, ..., k_d) share a node, and each node's cumulative sum
+is computed once. The powers n^-k are computed once per distinct part,
+and each trie depth writes into one reused buffer. Memory is therefore
+about (max depth + distinct parts + 1) arrays of cutoff + 1 floats,
+whatever the number of indices. Every per-index value is the same float
+as the one-index nested cumulative sum gives. The cutoff must be at least
+1 and at least the largest depth.
 """
 
 from __future__ import annotations
@@ -45,25 +55,59 @@ def zeta_tail_bound(parts, m: int) -> float:
     return acc
 
 
+def _partial_sums(indices, m: int) -> dict:
+    """Partial sums over m1 <= m of every index in `indices`, as a dict
+    index -> float: cumulative sums from the innermost part outward along
+    a suffix trie of the indices (cost O(m) per distinct suffix)."""
+    if m < 1:
+        raise ValueError(f"cutoff must be at least 1, got {m}")
+    trie: dict = {}
+    for parts in indices:
+        if m < len(parts):
+            raise ValueError("cutoff smaller than depth")
+        node = trie
+        for k in reversed(parts):
+            node = node.setdefault(k, {})
+        node[None] = parts
+    idx = np.arange(m + 1, dtype=np.float64)
+    idx[0] = 1.0  # avoid 0**-k; slot 0 is zeroed below
+    powers = {}
+    for k in {k for parts in indices for k in parts}:
+        powers[k] = idx ** float(-k)
+        powers[k][0] = 0.0
+    del idx
+    depth = max((len(parts) for parts in indices), default=0)
+    bufs = [np.empty(m + 1) for _ in range(depth)]
+    sums = {}
+
+    def walk(node, d):
+        for k, child in node.items():
+            if k is None:
+                continue
+            buf = bufs[d]
+            if d == 0:
+                np.cumsum(powers[k], out=buf)
+            else:
+                # inner indices strictly below the current one
+                np.multiply(powers[k][1:], bufs[d - 1][:-1], out=buf[1:])
+                buf[0] = 0.0
+                np.cumsum(buf, out=buf)
+            if None in child:
+                sums[child[None]] = float(buf[-1])
+            walk(child, d + 1)
+
+    walk(trie, 0)
+    return sums
+
+
 def zeta_eval(parts, m: int) -> EvalResult:
     """Partial sum of zeta(k1,...,kd) over m1 <= m, by cumulative sums
     from the innermost index outward (cost O(m * depth))."""
     parts = tuple(parts)
     if not is_admissible_index(parts):
         raise ValueError(f"divergent series: index {parts} needs k1 >= 2")
-    if m < len(parts):
-        raise ValueError("cutoff smaller than depth")
-    idx = np.arange(m + 1, dtype=np.float64)
-    idx[0] = 1.0  # avoid 0**-k; slot 0 is zeroed below
-    f = idx ** float(-parts[-1])
-    f[0] = 0.0
-    cum = np.cumsum(f)
-    for k in parts[-2::-1]:
-        f = idx ** float(-k)
-        f[0] = 0.0
-        f[1:] *= cum[:-1]  # inner indices strictly below the current one
-        cum = np.cumsum(f)
-    return EvalResult(float(cum[-1]), m, zeta_tail_bound(parts, m))
+    value = _partial_sums([parts], m)[parts]
+    return EvalResult(value, m, zeta_tail_bound(parts, m))
 
 
 def z_eval(p: NcPoly, m: int) -> EvalResult:
@@ -71,13 +115,14 @@ def z_eval(p: NcPoly, m: int) -> EvalResult:
     word to its zeta value; tail bounds add with |coeff| weights."""
     if not p.admissible_support():
         raise ValueError("outside domain of Z: support not admissible")
+    terms = [(word_to_index(w) if w else None, float(c)) for w, c in p.items()]
+    sums = _partial_sums([parts for parts, _ in terms if parts], m)
     value = 0.0
     tail = 0.0
-    for w, c in p.items():
-        if not w:
-            value += float(c)
+    for parts, c in terms:
+        if parts is None:
+            value += c
             continue
-        r = zeta_eval(word_to_index(w), m)
-        value += float(c) * r.value
-        tail += abs(float(c)) * r.tail_bound
+        value += c * sums[parts]
+        tail += abs(c) * zeta_tail_bound(parts, m)
     return EvalResult(value, m, tail)

@@ -141,14 +141,6 @@ class Series3:
 
     # -- substitutions ------------------------------------------------
 
-    def subs_zero(self, var: str) -> "Series3":
-        """Set one central variable to 0."""
-        axis = VAR_AXIS[var]
-        return Series3(
-            self.order,
-            ((m, p) for m, p in self._coeffs.items() if m[axis] == 0),
-        )
-
     def diagonal_vw(self) -> "Series3":
         """Substitute w := v."""
         return Series3(

@@ -164,6 +164,29 @@ class TestEvalAndResidual:
         assert code == 2
         assert "divergent" in err
 
+    @pytest.mark.parametrize("cutoff", ["0", "-5"])
+    def test_cutoff_below_one_is_usage_error(self, capsys, tmp_path, cutoff):
+        code, out, err = run(capsys, "eval", "(2)", "--cutoff", cutoff)
+        assert (code, out) == (2, "")
+        assert "error:" in err and "at least 1" in err
+        # a constant alone has no depth to check the cutoff against
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(NcPoly.one().scale(3).to_dict()))
+        code, out, err = run(capsys, "residual", str(path), "--cutoff", cutoff)
+        assert (code, out) == (2, "")
+        assert "error:" in err and "at least 1" in err
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [({}, "terms"), ({"terms": [{"word": "xy"}]}, "coeff"), ([], "terms")],
+    )
+    def test_malformed_residual_input_is_usage_error(self, capsys, tmp_path, data, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "residual", str(path), "--cutoff", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and field in err
+
 
 class TestSpanCommand:
     def test_dump_roundtrip(self, capsys, tmp_path):

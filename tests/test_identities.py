@@ -17,11 +17,17 @@ from mzvkit.identities import (
 )
 from mzvkit.maps import tau
 from mzvkit.ncpoly import NcPoly
-from mzvkit.series import Series3, delta_on_series
+from mzvkit.series import VAR_AXIS, Series3, delta_on_series
 
 
 def P(w, c=1):
     return NcPoly.word(w, c)
+
+
+def _subs_zero(s: Series3, var: str) -> Series3:
+    """Set one central variable to 0."""
+    axis = VAR_AXIS[var]
+    return Series3(s.order, ((m, p) for m, p in s.items() if m[axis] == 0))
 
 
 class TestSumWord:
@@ -157,8 +163,24 @@ class TestDualityK1:
         numerator, rest = _rhs_duality_k1_parts(order)
         rhs = divide_by_v_minus_w(numerator) + rest
         for var in ("u", "v"):
-            assert lhs.subs_zero(var) == rhs.subs_zero(var)
+            assert _subs_zero(lhs, var) == _subs_zero(rhs, var)
 
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_rest_and_lhs_built_at_order_minus_one(self, order):
+        # Only the numerator needs the extra degree for the (v-w) division;
+        # the rest and the lhs built at order-1 equal the full-order series
+        # truncated to order-1.
+        from mzvkit.identities import (
+            _Blocks,
+            _inner2,
+            _rhs_duality_k1_parts,
+            duality_k1_lhs,
+        )
+
+        full = _inner2(_Blocks(order)) - _inner2(_Blocks(order, "u"))
+        _, rest = _rhs_duality_k1_parts(order)
+        assert rest == full.truncate(order - 1)
+        assert duality_k1_lhs(order - 1) == duality_k1_lhs(order).truncate(order - 1)
 
     def test_division_failure_reports_first_diagonal_monomial(self, monkeypatch):
         # Give the Delta_v images of the letters x and y an extra x*v each,

@@ -1,17 +1,16 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from conftest import polys, admissible_polys
+from conftest import admissible_polys, bits_word, polys, word_bits
 from mzvkit.ncpoly import (
     NcPoly,
     accumulate,
     admissible_words,
     all_words,
-    bits_word,
     is_admissible,
-    word_bits,
 )
 
 
@@ -129,6 +128,25 @@ class TestSerialization:
     @given(polys)
     def test_json_roundtrip(self, p):
         assert NcPoly.from_dict(p.to_dict()) == p
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({}, "terms"),
+            ([], "terms"),
+            ({"terms": {"word": "xy"}}, "terms"),
+            ({"terms": ["xy"]}, "terms[0]"),
+            ({"terms": [{"coeff": "1"}]}, "word"),
+            ({"terms": [{"word": 3, "coeff": "1"}]}, "word"),
+            ({"terms": [{"word": "xy", "coeff": "1"}, {"word": "xy"}]}, "terms[1]"),
+            ({"terms": [{"word": "xy", "coeff": "1/0"}]}, "coeff"),
+            ({"terms": [{"word": "xy", "coeff": None}]}, "coeff"),
+            ({"terms": [{"word": "xay", "coeff": "1"}]}, "'xay'"),
+        ],
+    )
+    def test_from_dict_names_bad_field(self, data, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            NcPoly.from_dict(data)
 
     def test_json_shape(self):
         p = P("xxy", Fraction(-3, 2))

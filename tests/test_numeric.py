@@ -1,10 +1,14 @@
+import json
 import math
+import random
 
+import numpy as np
 import pytest
 
+from mzvkit.cli import main
 from mzvkit.maps import derivation, dual_index, word_to_index
 from mzvkit.ncpoly import NcPoly, admissible_words
-from mzvkit.numeric import z_eval, zeta_eval
+from mzvkit.numeric import z_eval, zeta_eval, zeta_tail_bound
 
 
 def brute_zeta(parts, m):
@@ -20,6 +24,94 @@ def brute_zeta(parts, m):
             term *= mi ** -ki
         total += term
     return total
+
+
+def nested_cumsum(parts, m):
+    """One index at a time: fresh powers and cumulative sums from the
+    innermost part outward. The independent oracle of the suffix-trie
+    kernel, which must give the same float for every index."""
+    idx = np.arange(m + 1, dtype=np.float64)
+    idx[0] = 1.0  # avoid 0**-k; slot 0 is zeroed below
+    f = idx ** float(-parts[-1])
+    f[0] = 0.0
+    cum = np.cumsum(f)
+    for k in parts[-2::-1]:
+        f = idx ** float(-k)
+        f[0] = 0.0
+        f[1:] *= cum[:-1]  # inner indices strictly below the current one
+        cum = np.cumsum(f)
+    return float(cum[-1])
+
+
+def oracle_z_eval(p, m):
+    """Z of p word by word through nested_cumsum, in p.items() order."""
+    value = tail = 0.0
+    for w, c in p.items():
+        if not w:
+            value += float(c)
+            continue
+        parts = word_to_index(w)
+        value += float(c) * nested_cumsum(parts, m)
+        tail += abs(float(c)) * zeta_tail_bound(parts, m)
+    return value, tail
+
+
+def random_combination(rng, n_words, constant):
+    """n_words admissible words of weight 2..9 with small integer coefficients."""
+    words = [w for k in range(2, 10) for w in admissible_words(k)]
+    terms = [(w, rng.choice([-9, -4, -1, 1, 2, 7])) for w in rng.sample(words, n_words)]
+    if constant:
+        terms.append(("", rng.choice([-3, 5])))
+    return NcPoly(terms)
+
+
+def _combinations():
+    rng = random.Random(20170611)
+    cases = [
+        pytest.param(random_combination(rng, n, c), id=f"random{n}")
+        for n, c in [(40, True), (25, False), (60, True)]
+    ]
+    return cases + [
+        pytest.param(NcPoly.word("xy"), id="depth1-word"),
+        pytest.param(NcPoly.word("xxyxyxyy", -3), id="deep-word"),
+        pytest.param(NcPoly.parse("2 + xy - 3*xxy"), id="constant-and-depth1"),
+        # shared suffixes (.., 1, 1) and (.., 2, 1), and repeated parts
+        pytest.param(
+            NcPoly.parse("xyyy + xxyyy + xyxyyy - xxyxyy + 5*xyxyxy + xxyxxy"),
+            id="shared-suffixes",
+        ),
+    ]
+
+
+class TestSuffixTrieKernel:
+    @pytest.mark.parametrize("m", [8, 97, 5000])
+    @pytest.mark.parametrize("p", _combinations())
+    def test_matches_per_word_oracle_exactly(self, p, m):
+        r = z_eval(p, m)
+        value, tail = oracle_z_eval(p, m)
+        assert r.value == value
+        assert r.tail_bound == tail
+        for w in p.terms:
+            if w:
+                parts = word_to_index(w)
+                assert zeta_eval(parts, m).value == nested_cumsum(parts, m), parts
+
+    def test_residual_stdout_is_oracle_formatted(self, capsys, tmp_path):
+        from mzvkit.span import duality_target
+
+        rng = random.Random(7)
+        p = NcPoly.zero()
+        for k in range(2, 8):
+            for m in range(1, k):
+                for l in range(1, k - m + 1):
+                    p = p + duality_target(k, m, l).scale(rng.choice([-5, -2, 1, 3, 8]))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(p.to_dict()))
+        cutoff = 30000
+        assert main(["--format", "json", "residual", str(path), "--cutoff", str(cutoff)]) == 0
+        value, tail = oracle_z_eval(p, cutoff)
+        expected = {"value": f"{value:.12f}", "cutoff": cutoff, "tail_bound": f"{tail:.12f}"}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 class TestZetaEval:
@@ -66,6 +158,11 @@ class TestZetaEval:
         with pytest.raises(ValueError):
             zeta_eval((2, 1, 1), 2)
 
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_rejects_cutoff_below_one(self, m):
+        with pytest.raises(ValueError, match="at least 1"):
+            zeta_eval((2,), m)
+
     def test_deterministic(self):
         a = zeta_eval((2, 1, 3), 5000)
         b = zeta_eval((2, 1, 3), 5000)
@@ -101,6 +198,16 @@ class TestZEval:
     def test_rejects_non_admissible_support(self):
         with pytest.raises(ValueError):
             z_eval(NcPoly.word("yx"), 100)
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_rejects_cutoff_below_one_for_a_constant(self, m):
+        # no word reaches the depth check, so the cutoff is checked first
+        with pytest.raises(ValueError, match="at least 1"):
+            z_eval(NcPoly.one().scale(3), m)
+
+    def test_rejects_cutoff_below_depth(self):
+        with pytest.raises(ValueError, match="smaller than depth"):
+            z_eval(NcPoly.parse("xy + xyyy"), 2)
 
     def test_certificate_residuals(self):
         from mzvkit.span import corollary_check_all

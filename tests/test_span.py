@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import word_bits
 from mzvkit.identities import sum_word
 from mzvkit.maps import derivation, tau
-from mzvkit.ncpoly import NcPoly, word_bits
+from mzvkit.ncpoly import NcPoly
 from mzvkit.span import (
     MembershipCertificate,
     NotInSpanError,
