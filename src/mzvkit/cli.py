@@ -101,11 +101,12 @@ def cmd_verify_corollary(args) -> int:
         {"k": k, "m": m, "l": l, "certificate": cert.to_dict()}
         for m, l, cert in cases
     ]
+    text = _dump(certs) if args.certificates or args.format == "json" else None
     if args.certificates:
         with open(args.certificates, "w") as fh:
-            fh.write(_dump(certs) + "\n")
+            fh.write(text + "\n")
     if args.format == "json":
-        print(_dump(certs))
+        print(text)
     else:
         print(f"PASS  corollary at weight {k}: {len(cases)} case(s) certified")
     return 0

@@ -53,7 +53,8 @@ def derivation(n: int, p: NcPoly) -> NcPoly:
 # -- MZV indices ------------------------------------------------------
 
 def is_admissible_index(parts) -> bool:
-    return bool(parts) and parts[0] >= 2
+    """True iff parts is a composition (every part >= 1) with k1 >= 2."""
+    return bool(parts) and parts[0] >= 2 and all(k >= 1 for k in parts)
 
 
 def index_to_word(parts) -> str:
@@ -84,11 +85,14 @@ _INDEX_RE = re.compile(r"^\(\s*\d+\s*(,\s*\d+\s*)*\)$")
 
 
 def index_from_str(text: str) -> tuple[int, ...]:
-    """Parse '(3,1,2)' into (3, 1, 2)."""
+    """Parse '(3,1,2)' into (3, 1, 2); every part must be at least 1."""
     text = text.strip()
     if not _INDEX_RE.match(text):
         raise ValueError(f"not an index: {text!r}")
-    return tuple(int(t) for t in text[1:-1].split(","))
+    parts = tuple(int(t) for t in text[1:-1].split(","))
+    if min(parts) < 1:
+        raise ValueError(f"not an index: {text!r} has a part below 1")
+    return parts
 
 
 def index_to_str(parts) -> str:

@@ -105,7 +105,9 @@ def zeta_eval(parts, m: int) -> EvalResult:
     from the innermost index outward (cost O(m * depth))."""
     parts = tuple(parts)
     if not is_admissible_index(parts):
-        raise ValueError(f"divergent series: index {parts} needs k1 >= 2")
+        raise ValueError(
+            f"divergent series: index {parts} needs k1 >= 2 and every part >= 1"
+        )
     value = _partial_sums([parts], m)[parts]
     return EvalResult(value, m, zeta_tail_bound(parts, m))
 

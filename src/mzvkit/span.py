@@ -1,11 +1,15 @@
 """Membership of weight-homogeneous targets in the derivation span
-sum_n d_n(h0) at fixed weight, with explicit re-verifiable certificates,
-via exact rational Gaussian elimination."""
+sum_n d_n(h0) at fixed weight, with explicit re-verifiable certificates.
+
+Elimination is fraction-free over Python ints: every generator image has
+integer coefficients, and a target's denominators are cleared by their
+lcm. Fractions appear only in the certificate coefficients."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .identities import sum_word
 from .maps import derivation, tau
@@ -79,39 +83,64 @@ def span_basis(k: int) -> SpanBasis:
 
 
 class SpanSolver:
-    """Reduced column basis of the derivation span at one weight.
+    """Column echelon basis of the derivation span at one weight.
 
     Rows are the words of the weight. Pivot rule: columns processed in
     generator order, pivot at the first nonzero row (least word, x < y);
     deterministic by construction and tolerant of linearly dependent
     generators.
+
+    Elimination is fraction-free over Python ints (Bareiss-style). A pivot
+    row maps to (lead, vec, combo): integer dicts with vec[row] == lead and
+    vec == sum of combo[i] * generator i. To clear a row's entry c from a
+    vector, the vector is multiplied by lead/g and the pivot's multiple
+    c/g subtracted, g = gcd(lead, c); the common gcd is divided out after
+    each step. Each integer vector is a nonzero multiple of the one that
+    rational elimination would reach, so the supports, the pivots and the
+    (unique) certificate coefficients are the same. Fractions enter only
+    to clear a target's denominators and to write a certificate.
     """
 
     def __init__(self, k: int):
         self.weight = k
         self.basis = span_basis(k) if k >= 2 else SpanBasis(k, [])
-        # pivot row -> (column vector, combination over generator indices)
-        self.pivots: dict[str, tuple[dict[str, Fraction], dict[int, Fraction]]] = {}
+        self.pivots: dict[str, tuple[int, dict[str, int], dict[int, int]]] = {}
         for j, gen in enumerate(self.basis.generators):
-            vec = gen.image.terms
-            combo = {j: Fraction(1)}
+            _, vec = _cleared(gen.image)
+            combo = {j: 1}
             self._reduce(vec, combo)
             if vec:
                 row = min(vec)
-                lead = vec[row]
-                vec = {r: c / lead for r, c in vec.items()}
-                combo = {i: c / lead for i, c in combo.items()}
-                self.pivots[row] = (vec, combo)
+                self.pivots[row] = (vec[row], vec, combo)
 
-    def _reduce(self, vec: dict[str, Fraction], combo: dict[int, Fraction]):
+    def _reduce(self, vec: dict[str, int], combo: dict[int, int]) -> int:
+        """Clear every pivot row of vec in place, updating combo alongside.
+
+        Returns the nonzero int scale such that the output pair (vec, combo)
+        is scale times the input pair plus an integer combination of the
+        pivots' (vec, combo) pairs.
+        """
+        scale = 1
         for row in sorted(self.pivots):
             c = vec.get(row)
             if not c:
                 continue
-            pvec, pcombo = self.pivots[row]
-            neg = -c
+            lead, pvec, pcombo = self.pivots[row]
+            g = gcd(lead, c)
+            a, neg = lead // g, -c // g
+            if a != 1:
+                _mul(vec, a)
+                _mul(combo, a)
+                scale *= a
             accumulate(vec, ((r, neg * pc) for r, pc in pvec.items()))
             accumulate(combo, ((i, neg * pc) for i, pc in pcombo.items()))
+            if abs(scale) != 1:
+                g = gcd(scale, *vec.values(), *combo.values())
+                if g != 1:
+                    _div(vec, g)
+                    _div(combo, g)
+                    scale //= g
+        return scale
 
     @property
     def rank(self) -> int:
@@ -124,19 +153,35 @@ class SpanSolver:
             return MembershipCertificate(target, [])
         if not target.is_homogeneous(self.weight):
             raise ValueError(f"mixed weight: target not homogeneous of weight {self.weight}")
-        vec = target.terms
-        combo: dict[int, Fraction] = {}
-        # target = sum over pivots used; reduce and collect with sign flip
-        self._reduce(vec, combo)
+        den, vec = _cleared(target)
+        combo: dict[int, int] = {}
+        # now vec == scale * den * target + sum of combo[i] * generator i
+        scale = self._reduce(vec, combo)
         if vec:
             return None
         gens = self.basis.generators
         combination = [
-            (gens[i].n, gens[i].word, -c)
+            (gens[i].n, gens[i].word, Fraction(-c, scale * den))
             for i, c in sorted(combo.items())
-            if c
         ]
         return MembershipCertificate(target, combination)
+
+
+def _cleared(p: NcPoly) -> tuple[int, dict[str, int]]:
+    """(den, terms of den * p) with den the lcm of p's denominators."""
+    terms = p.terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {w: c.numerator * (den // c.denominator) for w, c in terms.items()}
+
+
+def _mul(d: dict, a: int):
+    for key in d:
+        d[key] *= a
+
+
+def _div(d: dict, g: int):
+    for key in d:
+        d[key] //= g
 
 
 _solver_cache: dict[int, SpanSolver] = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -121,6 +122,27 @@ class TestVerifyCorollary:
         cert = MembershipCertificate.from_dict(certs[0]["certificate"])
         assert cert.verify()
 
+    def test_weight8_certificates_pinned(self, capsys, tmp_path):
+        # sha256 of the weight-8 certificate file as the rational solver
+        # wrote it; pins the bytes across solver rewrites
+        path = tmp_path / "certs.json"
+        code, _, _ = run(
+            capsys, "verify", "corollary", "--weight", "8", "--certificates", str(path)
+        )
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "fd6e0da1f09a14875943242546245e001e0ae2debe49e22b9eb429986213db19"
+        )
+
+    def test_json_stdout_matches_certificate_file(self, capsys, tmp_path):
+        path = tmp_path / "certs.json"
+        code, out, _ = run(
+            capsys, "--format", "json",
+            "verify", "corollary", "--weight", "6", "--certificates", str(path),
+        )
+        assert code == 0
+        assert out == path.read_text()
+
     def test_m_without_l_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "corollary", "--weight", "4", "--m", "1")
         assert code == 2
@@ -163,6 +185,13 @@ class TestEvalAndResidual:
         code, _, err = run(capsys, "eval", "(1,2)", "--cutoff", "100")
         assert code == 2
         assert "divergent" in err
+
+    @pytest.mark.parametrize("index", ["(2,0)", "(3,0,0)"])
+    def test_zero_part_is_usage_error(self, capsys, index):
+        # (2,0) would be sum m^-2 (m-1), a divergent series
+        code, out, err = run(capsys, "eval", index, "--cutoff", "1000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("cutoff", ["0", "-5"])
     def test_cutoff_below_one_is_usage_error(self, capsys, tmp_path, cutoff):

@@ -162,6 +162,6 @@ class TestIndexText:
         assert index_to_str((3, 1, 2)) == "(3,1,2)"
 
     def test_bad(self):
-        for bad in ("3,1", "()", "(x)"):
+        for bad in ("3,1", "()", "(x)", "(2,0)", "(0)"):
             with pytest.raises(ValueError):
                 index_from_str(bad)

@@ -154,6 +154,11 @@ class TestZetaEval:
         with pytest.raises(ValueError):
             zeta_eval((1, 2), 100)
 
+    @pytest.mark.parametrize("parts", [(2, 0), (3, 0, 0), (2, 1, -1)])
+    def test_rejects_part_below_one(self, parts):
+        with pytest.raises(ValueError, match="every part >= 1"):
+            zeta_eval(parts, 1000)
+
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):
             zeta_eval((2, 1, 1), 2)

@@ -6,7 +6,7 @@ import pytest
 from conftest import word_bits
 from mzvkit.identities import sum_word
 from mzvkit.maps import derivation, tau
-from mzvkit.ncpoly import NcPoly
+from mzvkit.ncpoly import NcPoly, accumulate
 from mzvkit.span import (
     MembershipCertificate,
     NotInSpanError,
@@ -59,6 +59,48 @@ def oracle_member(target, k):
     """Rank comparison: target in span iff rank[A] == rank[A | target]."""
     cols = [_vec(g.image, k) for g in span_basis(k).generators]
     return _dense_rank(cols, k) == _dense_rank(cols + [_vec(target, k)], k)
+
+
+# -- independent oracle: rational elimination, same pivot rule ---------
+
+class _FractionSolver:
+    """Gaussian elimination over Fraction with unit pivots: the solver's
+    pivot rule in rational arithmetic, kept as a differential oracle."""
+
+    def __init__(self, k):
+        self.basis = span_basis(k)
+        # pivot row -> (column vector, combination over generator indices)
+        self.pivots = {}
+        for j, gen in enumerate(self.basis.generators):
+            vec = gen.image.terms
+            combo = {j: Fraction(1)}
+            self._reduce(vec, combo)
+            if vec:
+                row = min(vec)
+                lead = vec[row]
+                vec = {r: c / lead for r, c in vec.items()}
+                combo = {i: c / lead for i, c in combo.items()}
+                self.pivots[row] = (vec, combo)
+
+    def _reduce(self, vec, combo):
+        for row in sorted(self.pivots):
+            c = vec.get(row)
+            if not c:
+                continue
+            pvec, pcombo = self.pivots[row]
+            neg = -c
+            accumulate(vec, ((r, neg * pc) for r, pc in pvec.items()))
+            accumulate(combo, ((i, neg * pc) for i, pc in pcombo.items()))
+
+    def combination(self, target):
+        """The certificate combination, or None for a non-member."""
+        vec = target.terms
+        combo = {}
+        self._reduce(vec, combo)
+        if vec:
+            return None
+        gens = self.basis.generators
+        return [(gens[i].n, gens[i].word, -c) for i, c in sorted(combo.items()) if c]
 
 
 # -- basis -------------------------------------------------------------
@@ -154,6 +196,63 @@ class TestSolverOracle:
                 if cert is not None:
                     assert cert.verify()
         assert cases >= 50
+
+
+class TestFractionOracle:
+    """The integer solver's certificates equal rational elimination's."""
+
+    @staticmethod
+    def _agree(solver, oracle, t):
+        cert = solver.membership(t)
+        expected = oracle.combination(t)
+        if expected is None:
+            assert cert is None, t.render()
+        else:
+            assert cert is not None and cert.combination == expected, t.render()
+        return cert
+
+    def test_duality_targets(self):
+        for k in range(3, 9):
+            solver, oracle = SpanSolver(k), _FractionSolver(k)
+            assert sorted(solver.pivots) == sorted(oracle.pivots)
+            for m in range(1, k):
+                for l in range(1, k - m + 1):
+                    t = duality_target(k, m, l)
+                    if not t.is_zero():
+                        assert self._agree(solver, oracle, t) is not None
+
+    def test_random_and_rational_targets(self):
+        rng = random.Random(2719)
+        members = nonmembers = 0
+        for k in range(3, 8):
+            solver, oracle = SpanSolver(k), _FractionSolver(k)
+            gens = span_basis(k).generators
+            widest = max(
+                (duality_target(k, m, l) for m in range(1, k) for l in range(1, k - m + 1)),
+                key=len,
+            )
+            targets = [widest.scale(Fraction(3, 7))]
+            a, b = rng.choices(gens, k=2)
+            targets.append(a.image.scale(Fraction(5, 2)) + b.image.scale(Fraction(-1, 3)))
+            for _ in range(10):
+                t = NcPoly.zero()
+                for g in rng.sample(gens, min(3, len(gens))):
+                    t = t + g.image.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+                targets.append(t)
+                words = ["".join(rng.choice("xy") for _ in range(k)) for _ in range(4)]
+                targets.append(
+                    NcPoly((w, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for w in words)
+                )
+            for t in targets:
+                if t.is_zero():
+                    continue
+                cert = self._agree(solver, oracle, t)
+                if cert is None:
+                    nonmembers += 1
+                else:
+                    members += 1
+                    assert cert.verify()
+        assert members >= 40 and nonmembers >= 20
 
 
 # -- corollary ---------------------------------------------------------
