@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import identities, numeric, span
 from .maps import (
+    derivation,
     dual_index,
     index_from_str,
     index_to_str,
@@ -26,20 +26,9 @@ DEFAULT_ORDER_EQ3 = 8
 
 
 def _order(args, fallback: int) -> int:
-    """The truncation order: --order, else MZV_DEFAULT_ORDER, else fallback.
-
-    Raises ValueError (exit 2) for an order below 1 from either source.
-    """
-    if args.order is not None:
-        order, source = args.order, "--order"
-    else:
-        env = os.environ.get("MZV_DEFAULT_ORDER")
-        if not env:
-            return fallback
-        order, source = int(env), "MZV_DEFAULT_ORDER"
-    if order < 1:
-        raise ValueError(f"{source} must be at least 1, got {order}")
-    return order
+    """The truncation order: --order, else fallback. The library rejects an
+    order below its minimum with ValueError (exit 2)."""
+    return fallback if args.order is None else args.order
 
 
 def _parse_word_or_index(text: str) -> str:
@@ -83,9 +72,6 @@ def cmd_verify_theorem(args) -> int:
 
 def cmd_verify_corollary(args) -> int:
     k = args.weight
-    if k < 2:
-        print(f"error: --weight must be at least 2, got {k}", file=sys.stderr)
-        return 2
     try:
         if args.m is not None or args.l is not None:
             if args.m is None or args.l is None:
@@ -119,8 +105,6 @@ def cmd_dual(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    from .maps import derivation
-
     word = _parse_word_or_index(args.arg)
     result = derivation(args.n, NcPoly.word(word))
     print(_dump(result.to_dict()))
@@ -134,19 +118,20 @@ def cmd_delta(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    r = numeric.zeta_eval(index_from_str(args.index), args.cutoff)
+def _emit_eval(args, r: numeric.EvalResult):
     payload = {"value": f"{r.value:.12f}", "cutoff": r.cutoff, "tail_bound": f"{r.tail_bound:.12f}"}
     _emit(args, payload, f"value={r.value:.12f} tail_bound={r.tail_bound:.12f}")
+
+
+def cmd_eval(args) -> int:
+    _emit_eval(args, numeric.zeta_eval(index_from_str(args.index), args.cutoff))
     return 0
 
 
 def cmd_residual(args) -> int:
     with open(args.file) as fh:
         p = NcPoly.from_dict(json.load(fh))
-    r = numeric.z_eval(p, args.cutoff)
-    payload = {"value": f"{r.value:.12f}", "cutoff": r.cutoff, "tail_bound": f"{r.tail_bound:.12f}"}
-    _emit(args, payload, f"value={r.value:.12f} tail_bound={r.tail_bound:.12f}")
+    _emit_eval(args, numeric.z_eval(p, args.cutoff))
     return 0
 
 

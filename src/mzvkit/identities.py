@@ -169,6 +169,8 @@ def _inner2(b: _Blocks) -> Series3:
 def verify_duality_zeta(order: int) -> IdentityReport:
     """Check x/(1-xu)y - x y/(1-yu) = (1 - Delta_u)(x/(1-xu)y) up to the
     given order, exactly."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     b = _Blocks(order)
     base = _zeta_base(b)
     lhs = base - b.x * b.y * b.inv("yu")

@@ -255,8 +255,10 @@ class NcPoly:
             if "coeff" not in t:
                 raise ValueError(f"terms[{i}] needs a 'coeff'")
             try:
+                if isinstance(t["coeff"], bool):
+                    raise TypeError
                 c = Fraction(t["coeff"])
-            except (TypeError, ValueError, ZeroDivisionError):
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"terms[{i}].coeff is not a rational: {t['coeff']!r}") from None
             terms.append((check_word(t["word"]), c))
         return cls(terms)

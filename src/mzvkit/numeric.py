@@ -117,7 +117,10 @@ def z_eval(p: NcPoly, m: int) -> EvalResult:
     word to its zeta value; tail bounds add with |coeff| weights."""
     if not p.admissible_support():
         raise ValueError("outside domain of Z: support not admissible")
-    terms = [(word_to_index(w) if w else None, float(c)) for w, c in p.items()]
+    try:
+        terms = [(word_to_index(w) if w else None, float(c)) for w, c in p.items()]
+    except OverflowError:
+        raise ValueError("a coefficient does not fit in a float") from None
     sums = _partial_sums([parts for parts, _ in terms if parts], m)
     value = 0.0
     tail = 0.0

@@ -17,44 +17,41 @@ from .ncpoly import NcPoly, X, Y, accumulate
 VAR_AXIS = {"u": 0, "v": 1, "w": 2}
 
 
-def mono_degree(m) -> int:
-    return m[0] + m[1] + m[2]
-
-
 def _mono_add(m1, m2) -> tuple:
     return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
 
 
-def _mono_key(m):
-    return (mono_degree(m), m[0], m[1], m[2])
-
-
 class Series3:
-    """Polynomial in u,v,w of total degree <= order, NcPoly coefficients."""
+    """Polynomial in u,v,w of total degree <= order, NcPoly coefficients.
 
-    __slots__ = ("order", "_coeffs")
+    Stored by total degree: _layers[d] maps each monomial of degree d to its
+    nonzero coefficient, for d = 0..order, so the list is the truncation.
+    """
+
+    __slots__ = ("_layers",)
 
     def __init__(self, order: int, coeffs=None):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        acc: dict[tuple, NcPoly] = {}
+        self._layers: list[dict[tuple, NcPoly]] = [{} for _ in range(order + 1)]
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            accumulate(acc, (
-                (tuple(m), p) for m, p in items if p and mono_degree(m) <= order
-            ))
-        self.order = order
-        self._coeffs = acc
+            for m, p in items:
+                m = tuple(m)
+                if min(m) < 0:
+                    raise ValueError(f"monomial {m} has a negative exponent")
+                d = sum(m)
+                if p and d <= order:
+                    accumulate(self._layers[d], ((m, p),))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of(cls, order: int, coeffs: dict[tuple, NcPoly]) -> "Series3":
-        """Wrap a dict that already maps monomials of degree <= order to
-        nonzero NcPoly coefficients."""
+    def _of(cls, layers: list[dict[tuple, NcPoly]]) -> "Series3":
+        """Wrap a nonempty list whose entry d maps monomials of degree d to
+        nonzero NcPoly coefficients; the order is len(layers) - 1."""
         out = cls.__new__(cls)
-        out.order = order
-        out._coeffs = coeffs
+        out._layers = layers
         return out
 
     @classmethod
@@ -75,39 +72,44 @@ class Series3:
 
     # -- inspection ---------------------------------------------------
 
+    @property
+    def order(self) -> int:
+        return len(self._layers) - 1
+
     def coeff(self, mono) -> NcPoly:
-        return self._coeffs.get(tuple(mono), NcPoly.zero())
+        d = sum(mono)
+        if d > self.order:
+            return NcPoly.zero()
+        return self._layers[d].get(tuple(mono), NcPoly.zero())
 
     def items(self):
         """(monomial, coefficient) pairs sorted by (total degree, a, b, c)."""
-        return sorted(self._coeffs.items(), key=lambda kv: _mono_key(kv[0]))
+        return [kv for layer in self._layers for kv in sorted(layer.items())]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not any(self._layers)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series3):
             return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
+        return self._layers == other._layers
 
     def first_nonzero(self):
         """Smallest monomial (degree order) with nonzero coefficient, or None."""
-        if not self._coeffs:
-            return None
-        return min(self._coeffs, key=_mono_key)
+        for layer in self._layers:
+            if layer:
+                return min(layer)
+        return None
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Series3") -> "Series3":
-        order = min(self.order, other.order)
-        acc = {m: p for m, p in self._coeffs.items() if mono_degree(m) <= order}
-        accumulate(acc, (
-            (m, p) for m, p in other._coeffs.items() if mono_degree(m) <= order
-        ))
-        return Series3._of(order, acc)
+        return Series3._of([
+            accumulate(dict(a), b.items()) for a, b in zip(self._layers, other._layers)
+        ])
 
     def __neg__(self) -> "Series3":
-        return Series3._of(self.order, {m: -p for m, p in self._coeffs.items()})
+        return Series3._of([{m: -p for m, p in layer.items()} for layer in self._layers])
 
     def __sub__(self, other: "Series3") -> "Series3":
         return self + (-other)
@@ -115,38 +117,20 @@ class Series3:
     def __mul__(self, other: "Series3") -> "Series3":
         if not isinstance(other, Series3):
             return NotImplemented
-        order = min(self.order, other.order)
-        acc: dict[tuple, NcPoly] = {}
-        right = other._coeffs.items()
-        for (a1, b1, c1), p in self._coeffs.items():
-            room = order - (a1 + b1 + c1)
-            if room < 0:
-                continue
-            # Q<x,y> has no zero divisors, so every product p * q is nonzero
-            accumulate(acc, (
-                ((a1 + a2, b1 + b2, c1 + c2), p * q)
-                for (a2, b2, c2), q in right
-                if a2 + b2 + c2 <= room
-            ))
-        return Series3._of(order, acc)
+        left, right = self._layers, other._layers
+        return Series3._of([
+            _degree_layer(left, right, d) for d in range(min(len(left), len(right)))
+        ])
 
     def scale(self, c) -> "Series3":
         c = Fraction(c)
-        return Series3._of(
-            self.order, {} if not c else {m: p.scale(c) for m, p in self._coeffs.items()}
-        )
+        return Series3._of([
+            {m: p.scale(c) for m, p in layer.items()} if c else {}
+            for layer in self._layers
+        ])
 
     def truncate(self, order: int) -> "Series3":
-        return Series3(order, self._coeffs)
-
-    # -- substitutions ------------------------------------------------
-
-    def diagonal_vw(self) -> "Series3":
-        """Substitute w := v."""
-        return Series3(
-            self.order,
-            (((a, b + c, 0), p) for (a, b, c), p in self._coeffs.items()),
-        )
+        return Series3(order, (kv for layer in self._layers for kv in layer.items()))
 
     # -- serialization ------------------------------------------------
 
@@ -174,30 +158,36 @@ class Series3:
         return f"Series3(order={self.order}, {{{inner}}})"
 
 
+def _degree_layer(left: list, right: list, d: int, start: int = 0) -> dict:
+    """Layer d of a product: the sum over j = start..d of left[j] * right[d-j].
+
+    The one product kernel under Series3.__mul__ and geometric_inverse.
+    """
+    acc: dict[tuple, NcPoly] = {}
+    for j in range(start, d + 1):
+        pairs = right[d - j].items()
+        for (a1, b1, c1), p in left[j].items():
+            # Q<x,y> has no zero divisors, so every product p * q is nonzero
+            accumulate(acc, (
+                ((a1 + a2, b1 + b2, c1 + c2), p * q) for (a2, b2, c2), q in pairs
+            ))
+    return acc
+
+
 def geometric_inverse(f: Series3) -> Series3:
     """Two-sided inverse mod degree order+1; requires constant coefficient
     exactly 1.
 
-    With e = 1 - f split by total degree, g = 1 + e*g gives g_0 = 1 and
-    g_d = sum_{j=1..d} e_j g_(d-j): one pass over degrees.
+    With e = 1 - f, g = 1 + e*g gives g_0 = 1 and g_d = sum_{j=1..d} e_j
+    g_(d-j): one pass over degrees. Layers 1.. of -f are those of e.
     """
     if f.coeff((0, 0, 0)) != NcPoly.one():
         raise ValueError("not invertible at this truncation: constant term != 1")
-    order = f.order
-    e: list[list] = [[] for _ in range(order + 1)]
-    for m, p in f._coeffs.items():
-        if m != (0, 0, 0):
-            e[mono_degree(m)].append((m, -p))
-    g = [[((0, 0, 0), NcPoly.one())]]
-    for d in range(1, order + 1):
-        acc: dict[tuple, NcPoly] = {}
-        for j in range(1, d + 1):
-            right = g[d - j]
-            for m1, p in e[j]:
-                # Q<x,y> has no zero divisors, so every product p * q is nonzero
-                accumulate(acc, ((_mono_add(m1, m2), p * q) for m2, q in right))
-        g.append(list(acc.items()))
-    return Series3._of(order, {m: p for layer in g for m, p in layer})
+    e = (-f)._layers
+    g = [{(0, 0, 0): NcPoly.one()}]
+    for d in range(1, len(e)):
+        g.append(_degree_layer(e, g, d, start=1))
+    return Series3._of(g)
 
 
 # -- Delta_t: closed-form substitution route --------------------------
@@ -230,13 +220,16 @@ def _delta_word(var: str, word: str, order: int) -> Series3:
 
 def delta_on_series(var: str, f: Series3) -> Series3:
     """Apply Delta_t coefficientwise; a ring homomorphism fixing u, v, w."""
-    acc: dict[tuple, NcPoly] = {}
-    for m, q in f._coeffs.items():
-        room = f.order - mono_degree(m)
-        for w, c in q.terms.items():
-            image = _delta_word(var, w, room)._coeffs.items()
-            accumulate(acc, ((_mono_add(m, mm), p.scale(c)) for mm, p in image))
-    return Series3._of(f.order, acc)
+    out: list[dict[tuple, NcPoly]] = [{} for _ in f._layers]
+    for d, layer in enumerate(f._layers):
+        for m, q in layer.items():
+            for w, c in q.terms.items():
+                image = _delta_word(var, w, f.order - d)._layers
+                for k, terms in enumerate(image, d):
+                    accumulate(out[k], (
+                        (_mono_add(m, mm), p.scale(c)) for mm, p in terms.items()
+                    ))
+    return Series3._of(out)
 
 
 def delta_subst(var: str, p: NcPoly, order: int) -> Series3:
@@ -249,17 +242,16 @@ def delta_subst(var: str, p: NcPoly, order: int) -> Series3:
 
 def _apply_big_derivation(var: str, f: Series3) -> Series3:
     """One application of D = sum_n (d_n/n) t^n to a truncated series."""
-    order = f.order
-    acc: dict[tuple, NcPoly] = {}
-    for m, q in f._coeffs.items():
-        images = (
-            (n, derivation(n, q).scale(Fraction(1, n)))
-            for n in range(1, order - mono_degree(m) + 1)
-        )
-        accumulate(acc, (
-            (_mono_add(m, _axis_mono(var, n)), img) for n, img in images if img
-        ))
-    return Series3._of(order, acc)
+    out: list[dict[tuple, NcPoly]] = [{} for _ in f._layers]
+    for d, layer in enumerate(f._layers):
+        for n in range(1, f.order - d + 1):
+            shift = _axis_mono(var, n)
+            images = (
+                (_mono_add(m, shift), derivation(n, q).scale(Fraction(1, n)))
+                for m, q in layer.items()
+            )
+            accumulate(out[d + n], ((m, img) for m, img in images if img))
+    return Series3._of(out)
 
 
 def delta_exp(var: str, p: NcPoly, order: int) -> Series3:
@@ -294,17 +286,23 @@ class NotDivisibleError(ValueError):
 
 def divide_by_v_minus_w(g: Series3) -> Series3:
     """Exact quotient q with (v-w)*q = g; defined when g vanishes at w=v,
-    else NotDivisibleError.
+    else NotDivisibleError. An order-0 g that vanishes there has no
+    quotient (ValueError).
 
     Then g = g - g|_(v=w), so each term p u^a v^b w^c contributes
-    p u^a (v^b - w^b)/(v-w) w^c = sum_{i<b} p u^a v^i w^(b-1-i+c). The
-    result has order reduced by one.
+    p u^a (v^b - w^b)/(v-w) w^c = sum_{i<b} p u^a v^i w^(b-1-i+c): layer d
+    of g goes to layer d-1 of q, whose order is one less.
     """
-    diagonal = g.diagonal_vw()
-    if not diagonal.is_zero():
-        m = diagonal.first_nonzero()
-        raise NotDivisibleError(m, diagonal.coeff(m))
-    out: dict[tuple, NcPoly] = {}
-    for (a, b, c), p in g._coeffs.items():
-        accumulate(out, (((a, i, b - 1 - i + c), p) for i in range(b)))
-    return Series3(g.order - 1, out)
+    quotient: list[dict[tuple, NcPoly]] = []
+    for d, layer in enumerate(g._layers):
+        diagonal = accumulate({}, (((a, b + c, 0), p) for (a, b, c), p in layer.items()))
+        if diagonal:
+            m = min(diagonal)
+            raise NotDivisibleError(m, diagonal[m])
+        if d:
+            quotient.append(accumulate({}, (
+                ((a, i, b - 1 - i + c), p) for (a, b, c), p in layer.items() for i in range(b)
+            )))
+    if not quotient:
+        raise ValueError("truncation order must be >= 0: an order-0 series has no quotient")
+    return Series3._of(quotient)

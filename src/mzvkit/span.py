@@ -218,6 +218,8 @@ def corollary_check(k: int, m: int, l: int) -> MembershipCertificate:
 
 def corollary_check_all(k: int) -> list[tuple[int, int, MembershipCertificate]]:
     """All valid (m, l) at weight k; every case must certify."""
+    if k < 2:
+        raise ValueError("weight must be >= 2")
     out = []
     for m in range(1, k):
         for l in range(1, k - m + 1):

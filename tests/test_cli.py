@@ -76,28 +76,9 @@ class TestVerifyTheorem:
         assert len(reports) == 5
         assert all(r["passed"] for r in reports)
 
-    def test_env_default_order(self, capsys, monkeypatch):
-        monkeypatch.setenv("MZV_DEFAULT_ORDER", "4")
-        code, out, _ = run(capsys, "--format", "json", "verify", "theorem", "--eq", "2")
-        assert code == 0
-        assert json.loads(out)[0]["order"] == 4
-
-    @pytest.mark.parametrize(
-        "env, argv",
-        [
-            (None, ("--order", "0")),
-            (None, ("--order", "-1")),
-            ("0", ()),
-            ("-3", ()),
-            ("abc", ()),
-        ],
-    )
-    def test_order_below_one_is_usage_error(self, capsys, monkeypatch, env, argv):
-        if env is None:
-            monkeypatch.delenv("MZV_DEFAULT_ORDER", raising=False)
-        else:
-            monkeypatch.setenv("MZV_DEFAULT_ORDER", env)
-        code, out, err = run(capsys, "verify", "theorem", *argv, "--eq", "2")
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_order_below_one_is_usage_error(self, capsys, order):
+        code, out, err = run(capsys, "verify", "theorem", "--order", order, "--eq", "2")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
@@ -215,6 +196,18 @@ class TestEvalAndResidual:
         code, out, err = run(capsys, "residual", str(path), "--cutoff", "100")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize(
+        "coeff", ["Infinity", "1e400", '"1e400"', "true"], ids=["inf", "float", "str", "bool"]
+    )
+    def test_coeff_not_a_finite_rational_is_usage_error(self, capsys, tmp_path, coeff):
+        # a JSON number too large for a float reads as inf; as a string it
+        # is an exact rational that z_eval cannot convert to a float
+        path = tmp_path / "bad.json"
+        path.write_text('{"terms": [{"word": "xy", "coeff": %s}]}' % coeff)
+        code, out, err = run(capsys, "residual", str(path), "--cutoff", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "coeff" in err
 
 
 class TestSpanCommand:

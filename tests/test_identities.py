@@ -129,6 +129,12 @@ class TestDualityZeta:
         report = verify_duality_zeta(8)
         assert report.passed
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_rejects_order_below_one(self, order):
+        # at order 0 both sides are 0, so the check would pass vacuously
+        with pytest.raises(ValueError):
+            verify_duality_zeta(order)
+
     def test_u_coefficients_are_dualized_single_zetas(self):
         # build both sides separately: coefficient of u^m is (1-tau)(x^(m+1)y)
         from mzvkit.identities import _Blocks

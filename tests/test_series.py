@@ -65,6 +65,75 @@ class TestConstructor:
         f = Series3(2, [((1, 1, 1), P("x")), ((0, 0, 1), P("y"))])
         assert f.items() == [((0, 0, 1), P("y"))]
 
+    def test_rejects_negative_exponent(self):
+        # a monomial's degree indexes its layer, so (0, -1, 1) must not
+        # land in layer 0
+        with pytest.raises(ValueError):
+            Series3(2, [((0, -1, 1), P("x"))])
+        with pytest.raises(ValueError):
+            Series3.from_dict({"order": 2, "terms": [
+                {"u": 0, "v": 0, "w": -1, "poly": P("x").to_dict()}]})
+
+
+class TestGradedStorageOracle:
+    """Series3 against a plain model: an order and a dict from monomial to
+    nonzero coefficient, with every operation written out term by term."""
+
+    @staticmethod
+    def _poly(rng):
+        # multi-word coefficients; a few cancel to zero
+        terms = [("".join(rng.choice("xy") for _ in range(rng.randrange(4))),
+                  rng.choice((-2, -1, 1, 3)))
+                 for _ in range(rng.randrange(1, 4))]
+        return NcPoly(terms)
+
+    def _random(self, rng, order):
+        # exponents reach order+1, so some terms sit above the order
+        terms = [(tuple(rng.randrange(order + 2) for _ in range(3)), self._poly(rng))
+                 for _ in range(rng.randrange(12))]
+        return Series3(order, terms), self._sum(order, terms)
+
+    @staticmethod
+    def _model_of(f):
+        return (f.order, dict(f.items()))
+
+    @staticmethod
+    def _sum(order, pairs):
+        acc = {}
+        for m, p in pairs:
+            if sum(m) <= order:
+                acc[m] = acc.get(m, NcPoly.zero()) + p
+        return (order, {m: p for m, p in acc.items() if p})
+
+    def test_against_monomial_dict_model(self):
+        rng = random.Random(20261018)
+        key = lambda kv: (sum(kv[0]), kv[0])  # noqa: E731
+        for _ in range(120):
+            f, (nf, mf) = self._random(rng, rng.randrange(7))
+            g, (ng, mg) = self._random(rng, rng.randrange(7))
+            n = min(nf, ng)
+            assert f.order == nf
+            assert f.items() == sorted(mf.items(), key=key)
+            assert self._model_of(f + g) == self._sum(n, [*mf.items(), *mg.items()])
+            assert self._model_of(f - g) == self._sum(
+                n, [*mf.items(), *((m, -p) for m, p in mg.items())]
+            )
+            assert self._model_of(f * g) == self._sum(n, [
+                (tuple(a + b for a, b in zip(m1, m2)), p * q)
+                for m1, p in mf.items() for m2, q in mg.items()
+            ])
+            for k in (0, nf - 1, nf, nf + 2):
+                if k >= 0:
+                    assert self._model_of(f.truncate(k)) == self._sum(k, mf.items())
+            first = min(mf.items(), key=key)[0] if mf else None
+            assert f.first_nonzero() == first
+            assert f.is_zero() == (not mf)
+            assert f.coeff((nf + 1, 0, 0)) == NcPoly.zero()
+            assert f.coeff((0, 0, nf + 3)) == NcPoly.zero()
+            assert (f == g) == ((nf, mf) == (ng, mg))
+            assert (f == f.truncate(nf + 1)) is False
+            assert f.truncate(nf + 1).truncate(nf) == f
+
 
 class TestGeometricInverse:
     def test_geometric_series(self):
@@ -292,6 +361,16 @@ class TestDivideByVMinusW:
         # w=v sends u*w to u*v and v*w^2 to v^3; u*v has the lower degree
         assert info.value.monomial == (1, 1, 0)
         assert info.value.coeff == P("xy", 2)
+
+    def test_order_zero(self):
+        # the diagonal is tested before the order: a nonzero constant is a
+        # nonzero diagonal, and a zero one has no quotient of order -1
+        with pytest.raises(NotDivisibleError) as info:
+            divide_by_v_minus_w(Series3.from_poly(P("xy"), 0))
+        assert (info.value.monomial, info.value.coeff) == ((0, 0, 0), P("xy"))
+        with pytest.raises(ValueError) as info:
+            divide_by_v_minus_w(Series3.zero(0))
+        assert not isinstance(info.value, NotDivisibleError)
 
     def test_rejects_nonvanishing_diagonal(self):
         n = 3

@@ -279,6 +279,12 @@ class TestCorollary:
                 s = sum_word(k, m, l)
                 assert cert.target == s - tau(s)
 
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_all_cases_rejects_weight_below_two(self, k):
+        # below weight 2 there is no (m, l) case, so [] would pass vacuously
+        with pytest.raises(ValueError):
+            corollary_check_all(k)
+
     def test_certificate_json_roundtrip(self):
         cert = corollary_check(5, 2, 2)
         again = MembershipCertificate.from_dict(cert.to_dict())
