@@ -1,8 +1,11 @@
 """Exact sparse arithmetic in the free algebra Q<x,y>.
 
 Words are plain strings over the two-letter alphabet 'x', 'y'; the empty
-string is the multiplicative identity.  Coefficients are `fractions.Fraction`
-throughout, so every computation downstream is exact.
+string is the multiplicative identity.  Coefficients are exact rationals,
+`int | Fraction`: an integral coefficient enters as an `int`, any other as
+a `Fraction`, so integer work never pays for `Fraction`. Sums and products
+keep Python's own types, so an integral value may also be held as a
+`Fraction`; the two compare equal, hash equal and print the same.
 """
 
 from __future__ import annotations
@@ -63,29 +66,47 @@ def accumulate(acc: dict, pairs) -> dict:
     return acc
 
 
+def accumulate_product(acc: dict, p: "NcPoly", q: "NcPoly") -> dict:
+    """Add the terms of the product p * q into acc, as accumulate does."""
+    # a product of nonzero rationals is nonzero, as accumulate needs; the
+    # factors are small, so a list beats a generator here
+    right = q._terms.items()
+    return accumulate(acc, [
+        (w1 + w2, c1 * c2) for w1, c1 in p._terms.items() for w2, c2 in right
+    ])
+
+
+def _q(c) -> int | Fraction:
+    """c as an exact rational: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _term_key(w: str):
     # canonical term order: length-lex, x < y
     return (len(w), w)
 
 
 class NcPoly:
-    """Element of Q<x,y>: finite map word -> nonzero Fraction."""
+    """Element of Q<x,y>: finite map word -> nonzero int | Fraction."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        acc: dict[str, Fraction] = {}
+        acc: dict[str, int | Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            pairs = ((w, Fraction(c)) for w, c in items)
+            pairs = ((w, _q(c)) for w, c in items)
             accumulate(acc, (wc for wc in pairs if wc[1]))
         self._terms = acc
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _of(cls, terms: dict[str, Fraction]) -> "NcPoly":
-        """Wrap a dict that already maps words to nonzero Fractions."""
+    def _of(cls, terms: dict[str, int | Fraction]) -> "NcPoly":
+        """Wrap a dict that already maps words to nonzero coefficients."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -96,24 +117,24 @@ class NcPoly:
 
     @classmethod
     def one(cls) -> "NcPoly":
-        return cls({"": Fraction(1)})
+        return cls({"": 1})
 
     @classmethod
     def word(cls, w: str, coeff=1) -> "NcPoly":
-        return cls({check_word(w): Fraction(coeff)})
+        return cls({check_word(w): coeff})
 
     # -- inspection ---------------------------------------------------
 
     @property
-    def terms(self) -> dict[str, Fraction]:
+    def terms(self) -> dict[str, int | Fraction]:
         return dict(self._terms)
 
     def items(self):
         """Terms in canonical (length-lex) order."""
         return sorted(self._terms.items(), key=lambda kv: _term_key(kv[0]))
 
-    def coeff(self, w: str) -> Fraction:
-        return self._terms.get(w) or Fraction(0)
+    def coeff(self, w: str) -> int | Fraction:
+        return self._terms.get(w, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -158,17 +179,12 @@ class NcPoly:
         return self + (-other)
 
     def scale(self, c) -> "NcPoly":
-        c = Fraction(c)
+        c = _q(c)
         return NcPoly._of({} if not c else {w: c * v for w, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, NcPoly):
-            # a product of nonzero rationals is nonzero, as accumulate needs;
-            # the factors are small, so a list beats a generator here
-            right = other._terms.items()
-            return NcPoly._of(accumulate({}, [
-                (w1 + w2, c1 * c2) for w1, c1 in self._terms.items() for w2, c2 in right
-            ]))
+            return NcPoly._of(accumulate_product({}, self, other))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .maps import is_admissible_index, word_to_index
 from .ncpoly import NcPoly
 
@@ -59,6 +57,9 @@ def _partial_sums(indices, m: int) -> dict:
     """Partial sums over m1 <= m of every index in `indices`, as a dict
     index -> float: cumulative sums from the innermost part outward along
     a suffix trie of the indices (cost O(m) per distinct suffix)."""
+    # imported here so that commands which never evaluate do not load numpy
+    import numpy as np
+
     if m < 1:
         raise ValueError(f"cutoff must be at least 1, got {m}")
     trie: dict = {}
@@ -114,7 +115,8 @@ def zeta_eval(parts, m: int) -> EvalResult:
 
 def z_eval(p: NcPoly, m: int) -> EvalResult:
     """Z extended linearly: constant term maps to its scalar, each admissible
-    word to its zeta value; tail bounds add with |coeff| weights."""
+    word to its zeta value; tail bounds add with |coeff| weights. A value
+    or bound that overflows double precision is a ValueError."""
     if not p.admissible_support():
         raise ValueError("outside domain of Z: support not admissible")
     try:
@@ -130,4 +132,9 @@ def z_eval(p: NcPoly, m: int) -> EvalResult:
             continue
         value += c * sums[parts]
         tail += abs(c) * zeta_tail_bound(parts, m)
+    if not (math.isfinite(value) and math.isfinite(tail)):
+        raise ValueError(
+            f"Z-value overflows double precision (value {value}, tail bound {tail}):"
+            " a coefficient is too large"
+        )
     return EvalResult(value, m, tail)

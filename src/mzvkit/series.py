@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .maps import derivation
-from .ncpoly import NcPoly, X, Y, accumulate
+from .ncpoly import NcPoly, X, Y, accumulate, accumulate_product
 
 VAR_AXIS = {"u": 0, "v": 1, "w": 2}
 
@@ -123,7 +123,6 @@ class Series3:
         ])
 
     def scale(self, c) -> "Series3":
-        c = Fraction(c)
         return Series3._of([
             {m: p.scale(c) for m, p in layer.items()} if c else {}
             for layer in self._layers
@@ -161,17 +160,18 @@ class Series3:
 def _degree_layer(left: list, right: list, d: int, start: int = 0) -> dict:
     """Layer d of a product: the sum over j = start..d of left[j] * right[d-j].
 
-    The one product kernel under Series3.__mul__ and geometric_inverse.
+    The one product kernel under Series3.__mul__ and geometric_inverse. Each
+    output monomial keeps one {word: coeff} dict, into which every pair of
+    factor terms is summed in place; the nonempty dicts become NcPolys at
+    the end.
     """
-    acc: dict[tuple, NcPoly] = {}
+    acc: dict[tuple, dict] = {}
     for j in range(start, d + 1):
         pairs = right[d - j].items()
         for (a1, b1, c1), p in left[j].items():
-            # Q<x,y> has no zero divisors, so every product p * q is nonzero
-            accumulate(acc, (
-                ((a1 + a2, b1 + b2, c1 + c2), p * q) for (a2, b2, c2), q in pairs
-            ))
-    return acc
+            for (a2, b2, c2), q in pairs:
+                accumulate_product(acc.setdefault((a1 + a2, b1 + b2, c1 + c2), {}), p, q)
+    return {m: NcPoly._of(terms) for m, terms in acc.items() if terms}
 
 
 def geometric_inverse(f: Series3) -> Series3:

@@ -209,6 +209,16 @@ class TestEvalAndResidual:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "coeff" in err
 
+    def test_non_finite_residual_is_usage_error(self, capsys, tmp_path):
+        # each coefficient fits in a float, but their Z-value overflows
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"terms": [
+            {"word": "xy", "coeff": "1.5e308"}, {"word": "xxy", "coeff": "1.5e308"},
+        ]}))
+        code, out, err = run(capsys, "--format", "json", "residual", str(path), "--cutoff", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "overflows" in err
+
 
 class TestSpanCommand:
     def test_dump_roundtrip(self, capsys, tmp_path):
@@ -288,3 +298,17 @@ def test_installed_console_script():
     r = subprocess.run(["mzvkit", "dual", "(4)"], capture_output=True, text=True)
     assert r.returncode == 0
     assert r.stdout.strip() == "(2,1,1)"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is loaded only by the numeric commands that need it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(mzvkit.__file__).parent.parent), env.get("PYTHONPATH")])
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, mzvkit.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

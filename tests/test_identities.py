@@ -188,6 +188,15 @@ class TestDualityK1:
         assert rest == full.truncate(order - 1)
         assert duality_k1_lhs(order - 1) == duality_k1_lhs(order).truncate(order - 1)
 
+    def test_coefficients_stay_int(self):
+        # the k1 series is integral, so no coefficient falls back to Fraction
+        from mzvkit.identities import _rhs_duality_k1_parts, duality_k1_lhs
+
+        numerator, rest = _rhs_duality_k1_parts(6)
+        for series in (duality_k1_lhs(6), numerator, rest):
+            coeffs = [c for _, p in series.items() for c in p.terms.values()]
+            assert coeffs and all(type(c) is int for c in coeffs)
+
     def test_division_failure_reports_first_diagonal_monomial(self, monkeypatch):
         # Give the Delta_v images of the letters x and y an extra x*v each,
         # which survives on the w=v diagonal of (Delta_v - Delta_w)(inner1),

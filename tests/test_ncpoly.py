@@ -148,6 +148,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(field)):
             NcPoly.from_dict(data)
 
+    def test_int_and_equal_fraction_coefficients_agree(self):
+        # an int coefficient, the equal Fraction, and an integral Fraction
+        # produced by a sum give the same polynomial in every form
+        half = NcPoly({"xy": Fraction(1, 2), "y": -2})
+        by_int = NcPoly({"xy": 1, "y": -4})
+        by_fraction = NcPoly({"xy": Fraction(1), "y": Fraction(-4)})
+        by_sum = NcPoly._of({"xy": Fraction(1, 2) + Fraction(1, 2), "y": Fraction(-4)})
+        for p in (by_fraction, by_sum, half + half):
+            assert p == by_int
+            assert hash(p) == hash(by_int)
+            assert p.render() == by_int.render() == "-4*y + xy"
+            assert p.to_dict() == by_int.to_dict()
+        assert type(by_fraction.coeff("xy")) is int
+        assert by_int.coeff("x") == 0
+
     def test_json_shape(self):
         p = P("xxy", Fraction(-3, 2))
         assert p.to_dict() == {"terms": [{"word": "xxy", "coeff": "-3/2"}]}

@@ -81,9 +81,10 @@ class TestGradedStorageOracle:
 
     @staticmethod
     def _poly(rng):
-        # multi-word coefficients; a few cancel to zero
+        # multi-word coefficients; a few cancel to zero; int and Fraction
+        # mixed, so products and sums reach integral Fractions
         terms = [("".join(rng.choice("xy") for _ in range(rng.randrange(4))),
-                  rng.choice((-2, -1, 1, 3)))
+                  rng.choice((-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3))))
                  for _ in range(rng.randrange(1, 4))]
         return NcPoly(terms)
 

@@ -52,7 +52,8 @@ def _dense_rank(columns, k):
 
 
 def _vec(p, k):
-    return {word_bits(w): c for w, c in p.terms.items()}
+    # Fraction entries, so the elimination's divisions stay exact
+    return {word_bits(w): Fraction(c) for w, c in p.terms.items()}
 
 
 def oracle_member(target, k):
@@ -72,7 +73,7 @@ class _FractionSolver:
         # pivot row -> (column vector, combination over generator indices)
         self.pivots = {}
         for j, gen in enumerate(self.basis.generators):
-            vec = gen.image.terms
+            vec = {w: Fraction(c) for w, c in gen.image.terms.items()}
             combo = {j: Fraction(1)}
             self._reduce(vec, combo)
             if vec:
@@ -94,7 +95,7 @@ class _FractionSolver:
 
     def combination(self, target):
         """The certificate combination, or None for a non-member."""
-        vec = target.terms
+        vec = {w: Fraction(c) for w, c in target.terms.items()}
         combo = {}
         self._reduce(vec, combo)
         if vec:
