@@ -5,7 +5,6 @@ lemmas."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ncpoly import NcPoly, X, Y
 from .series import (
@@ -71,7 +70,7 @@ def sum_word(k: int, m: int, l: int) -> NcPoly:
     words = []
     for comp in compositions(k - m - l, l - 1):
         words.append(X * m + Y + "".join(X * a + Y for a in comp))
-    return NcPoly((w, Fraction(1)) for w in words)
+    return NcPoly((w, 1) for w in words)
 
 
 # -- series building blocks -------------------------------------------

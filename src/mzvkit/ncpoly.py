@@ -185,13 +185,6 @@ class NcPoly:
     def __mul__(self, other):
         if isinstance(other, NcPoly):
             return NcPoly._of(accumulate_product({}, self, other))
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return NotImplemented
 
     def __pow__(self, n: int) -> "NcPoly":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .identities import sum_word
@@ -82,6 +83,10 @@ def span_basis(k: int) -> SpanBasis:
     return SpanBasis(k, gens)
 
 
+# The own key of a membership target's augmented row; generators use 0, 1, ...
+TARGET = -1
+
+
 class SpanSolver:
     """Column echelon basis of the derivation span at one weight.
 
@@ -90,57 +95,52 @@ class SpanSolver:
     deterministic by construction and tolerant of linearly dependent
     generators.
 
-    Elimination is fraction-free over Python ints (Bareiss-style). A pivot
-    row maps to (lead, vec, combo): integer dicts with vec[row] == lead and
-    vec == sum of combo[i] * generator i. To clear a row's entry c from a
-    vector, the vector is multiplied by lead/g and the pivot's multiple
-    c/g subtracted, g = gcd(lead, c); the common gcd is divided out after
-    each step. Each integer vector is a nonzero multiple of the one that
-    rational elimination would reach, so the supports, the pivots and the
-    (unique) certificate coefficients are the same. Fractions enter only
-    to clear a target's denominators and to write a certificate.
+    Elimination is fraction-free over Python ints (Bareiss-style) on
+    augmented rows: one integer dict per column whose word keys hold the
+    vector and whose int keys hold the generator combination producing it.
+    A pivot word maps to its row, with lead row[word]. A row's own key
+    (its generator index, or TARGET) holds its running scale: no earlier
+    pivot carries that key, so it changes only when the whole row is
+    multiplied or divided. To clear a word's entry c from a row, the row
+    is multiplied by lead/g and the pivot's multiple c/g subtracted,
+    g = gcd(lead, c); the common gcd is divided out after each step. Each
+    integer vector is a nonzero multiple of the one that rational
+    elimination would reach, so the supports, the pivots and the (unique)
+    certificate coefficients are the same. Fractions enter only to clear a
+    target's denominators and to write a certificate.
     """
 
     def __init__(self, k: int):
         self.weight = k
         self.basis = span_basis(k) if k >= 2 else SpanBasis(k, [])
-        self.pivots: dict[str, tuple[int, dict[str, int], dict[int, int]]] = {}
+        self.pivots: dict[str, dict[str | int, int]] = {}
         for j, gen in enumerate(self.basis.generators):
-            _, vec = _cleared(gen.image)
-            combo = {j: 1}
-            self._reduce(vec, combo)
-            if vec:
-                row = min(vec)
-                self.pivots[row] = (vec[row], vec, combo)
+            row = _cleared(gen.image)[1]
+            row[j] = 1
+            self._reduce(row, j)
+            words = [key for key in row if type(key) is str]
+            if words:
+                self.pivots[min(words)] = row
 
-    def _reduce(self, vec: dict[str, int], combo: dict[int, int]) -> int:
-        """Clear every pivot row of vec in place, updating combo alongside.
-
-        Returns the nonzero int scale such that the output pair (vec, combo)
-        is scale times the input pair plus an integer combination of the
-        pivots' (vec, combo) pairs.
-        """
-        scale = 1
-        for row in sorted(self.pivots):
-            c = vec.get(row)
+    def _reduce(self, row: dict[str | int, int], own: int):
+        """Clear every pivot word of row in place; row[own] is its scale."""
+        for word in sorted(self.pivots):
+            c = row.get(word)
             if not c:
                 continue
-            lead, pvec, pcombo = self.pivots[row]
+            pivot = self.pivots[word]
+            lead = pivot[word]
             g = gcd(lead, c)
             a, neg = lead // g, -c // g
             if a != 1:
-                _mul(vec, a)
-                _mul(combo, a)
-                scale *= a
-            accumulate(vec, ((r, neg * pc) for r, pc in pvec.items()))
-            accumulate(combo, ((i, neg * pc) for i, pc in pcombo.items()))
-            if abs(scale) != 1:
-                g = gcd(scale, *vec.values(), *combo.values())
+                for key in row:
+                    row[key] *= a
+            accumulate(row, ((key, neg * pc) for key, pc in pivot.items()))
+            if abs(row[own]) != 1:
+                g = gcd(*row.values())
                 if g != 1:
-                    _div(vec, g)
-                    _div(combo, g)
-                    scale //= g
-        return scale
+                    for key in row:
+                        row[key] //= g
 
     @property
     def rank(self) -> int:
@@ -149,20 +149,19 @@ class SpanSolver:
     def membership(self, target: NcPoly) -> MembershipCertificate | None:
         """Certificate if target lies in the span; None is a definitive
         negative at this weight."""
-        if target.is_zero():
-            return MembershipCertificate(target, [])
         if not target.is_homogeneous(self.weight):
             raise ValueError(f"mixed weight: target not homogeneous of weight {self.weight}")
-        den, vec = _cleared(target)
-        combo: dict[int, int] = {}
-        # now vec == scale * den * target + sum of combo[i] * generator i
-        scale = self._reduce(vec, combo)
-        if vec:
+        den, row = _cleared(target)
+        row[TARGET] = 1
+        self._reduce(row, TARGET)
+        # now the word part == row[TARGET] * den * target + sum of row[i] * generator i
+        scale = row.pop(TARGET)
+        if any(type(key) is str for key in row):
             return None
         gens = self.basis.generators
         combination = [
             (gens[i].n, gens[i].word, Fraction(-c, scale * den))
-            for i, c in sorted(combo.items())
+            for i, c in sorted(row.items())
         ]
         return MembershipCertificate(target, combination)
 
@@ -174,23 +173,9 @@ def _cleared(p: NcPoly) -> tuple[int, dict[str, int]]:
     return den, {w: c.numerator * (den // c.denominator) for w, c in terms.items()}
 
 
-def _mul(d: dict, a: int):
-    for key in d:
-        d[key] *= a
-
-
-def _div(d: dict, g: int):
-    for key in d:
-        d[key] //= g
-
-
-_solver_cache: dict[int, SpanSolver] = {}
-
-
+@cache
 def _solver(k: int) -> SpanSolver:
-    if k not in _solver_cache:
-        _solver_cache[k] = SpanSolver(k)
-    return _solver_cache[k]
+    return SpanSolver(k)
 
 
 def membership(target: NcPoly, k: int) -> MembershipCertificate | None:

@@ -103,17 +103,23 @@ class TestVerifyCorollary:
         cert = MembershipCertificate.from_dict(certs[0]["certificate"])
         assert cert.verify()
 
-    def test_weight8_certificates_pinned(self, capsys, tmp_path):
-        # sha256 of the weight-8 certificate file as the rational solver
-        # wrote it; pins the bytes across solver rewrites
+    @pytest.mark.parametrize(
+        "weight, digest",
+        [
+            ("8", "fd6e0da1f09a14875943242546245e001e0ae2debe49e22b9eb429986213db19"),
+            ("10", "c2ab8a33b3d326ea5d6f04129d2f7b8ec5e893d1b0b7f116d45c2fda57cce215"),
+        ],
+        ids=["8", "10"],
+    )
+    def test_certificates_pinned(self, capsys, tmp_path, weight, digest):
+        # sha256 of the certificate file as the rational solver wrote it;
+        # pins the bytes across solver rewrites
         path = tmp_path / "certs.json"
         code, _, _ = run(
-            capsys, "verify", "corollary", "--weight", "8", "--certificates", str(path)
+            capsys, "verify", "corollary", "--weight", weight, "--certificates", str(path)
         )
         assert code == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "fd6e0da1f09a14875943242546245e001e0ae2debe49e22b9eb429986213db19"
-        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_json_stdout_matches_certificate_file(self, capsys, tmp_path):
         path = tmp_path / "certs.json"

@@ -199,6 +199,24 @@ class TestSolverOracle:
         assert cases >= 50
 
 
+class TestAugmentedRows:
+    """Each pivot row's word part is the combination its int keys name."""
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_pivot_rows(self, k):
+        solver = SpanSolver(k)
+        gens = solver.basis.generators
+        assert solver.pivots
+        for word, row in solver.pivots.items():
+            words = {key: c for key, c in row.items() if isinstance(key, str)}
+            combo = {key: c for key, c in row.items() if isinstance(key, int)}
+            assert min(words) == word
+            expected = NcPoly.zero()
+            for i, c in combo.items():
+                expected = expected + gens[i].image.scale(c)
+            assert NcPoly(words.items()) == expected
+
+
 class TestFractionOracle:
     """The integer solver's certificates equal rational elimination's."""
 
