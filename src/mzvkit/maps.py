@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .ncpoly import NcPoly, X, Y, accumulate, check_word, is_admissible
+from .ncpoly import NcPoly, X, Y, accumulate, check_word
 
 _SWAP = str.maketrans("xy", "yx")
 

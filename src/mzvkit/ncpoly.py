@@ -49,9 +49,9 @@ def admissible_words(k: int):
 def accumulate(acc: dict, pairs) -> dict:
     """Add each (key, value) of pairs into acc; drop a key whose sum is zero.
 
-    The sparse sum under every NcPoly, Series3, derivation and span
-    elimination step. Values must be nonzero: the first value for a key is
-    stored without a zero test.
+    The sparse sum under every NcPoly, Series3 and derivation step, and
+    under certificate expansion. Values must be nonzero: the first value
+    for a key is stored without a zero test.
     """
     for k, v in pairs:
         prev = acc.get(k)
@@ -74,6 +74,19 @@ def accumulate_product(acc: dict, p: "NcPoly", q: "NcPoly") -> dict:
     return accumulate(acc, [
         (w1 + w2, c1 * c2) for w1, c1 in p._terms.items() for w2, c2 in right
     ])
+
+
+def accumulate_scaled(acc: dict, terms: dict, factor) -> dict:
+    """Add factor * c for each (key, c) of terms into acc, as accumulate
+    does; factor must be nonzero. The merge of one elimination step."""
+    get = acc.get
+    for k, c in terms.items():
+        s = get(k, 0) + factor * c
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+    return acc
 
 
 def _q(c) -> int | Fraction:

@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 from .identities import sum_word
 from .maps import derivation, tau
-from .ncpoly import NcPoly, accumulate, admissible_words
+from .ncpoly import NcPoly, accumulate, accumulate_scaled, admissible_words
 
 
 class NotInSpanError(Exception):
@@ -98,14 +98,16 @@ class SpanSolver:
     Elimination is fraction-free over Python ints (Bareiss-style) on
     augmented rows: one integer dict per column whose word keys hold the
     vector and whose int keys hold the generator combination producing it.
-    A pivot word maps to its row, with lead row[word]. A row's own key
-    (its generator index, or TARGET) holds its running scale: no earlier
-    pivot carries that key, so it changes only when the whole row is
-    multiplied or divided. To clear a word's entry c from a row, the row
-    is multiplied by lead/g and the pivot's multiple c/g subtracted,
-    g = gcd(lead, c); the common gcd is divided out after each step. Each
-    integer vector is a nonzero multiple of the one that rational
-    elimination would reach, so the supports, the pivots and the (unique)
+    A pivot word maps to its row, stored with a positive lead row[word]. A
+    row's own key (its generator index, or TARGET) holds its running scale:
+    no earlier pivot carries that key, so it changes only when the whole
+    row is multiplied or divided. To clear a word's entry c from a row, the
+    row is multiplied by lead/g and the pivot's multiple c/g subtracted
+    through accumulate_scaled, g = gcd(lead, c); as the lead is positive,
+    the row is cross-multiplied only when the lead does not divide c. The
+    common gcd is divided out after each step. Each integer vector is a
+    nonzero multiple of the one that rational elimination would reach (a
+    sign is such a multiple), so the supports, the pivots and the (unique)
     certificate coefficients are the same. Fractions enter only to clear a
     target's denominators and to write a certificate.
     """
@@ -120,7 +122,11 @@ class SpanSolver:
             self._reduce(row, j)
             words = [key for key in row if type(key) is str]
             if words:
-                self.pivots[min(words)] = row
+                word = min(words)
+                if row[word] < 0:
+                    for key in row:
+                        row[key] = -row[key]
+                self.pivots[word] = row
 
     def _reduce(self, row: dict[str | int, int], own: int):
         """Clear every pivot word of row in place; row[own] is its scale."""
@@ -135,7 +141,7 @@ class SpanSolver:
             if a != 1:
                 for key in row:
                     row[key] *= a
-            accumulate(row, ((key, neg * pc) for key, pc in pivot.items()))
+            accumulate_scaled(row, pivot, neg)
             if abs(row[own]) != 1:
                 g = gcd(*row.values())
                 if g != 1:

@@ -108,8 +108,9 @@ class TestVerifyCorollary:
         [
             ("8", "fd6e0da1f09a14875943242546245e001e0ae2debe49e22b9eb429986213db19"),
             ("10", "c2ab8a33b3d326ea5d6f04129d2f7b8ec5e893d1b0b7f116d45c2fda57cce215"),
+            ("11", "c26036df035f23de7757bfec45806dd083c300f2a2b121754cb789a506d460ca"),
         ],
-        ids=["8", "10"],
+        ids=["8", "10", "11"],
     )
     def test_certificates_pinned(self, capsys, tmp_path, weight, digest):
         # sha256 of the certificate file as the rational solver wrote it;

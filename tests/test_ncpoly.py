@@ -8,6 +8,7 @@ from conftest import admissible_polys, bits_word, polys, word_bits
 from mzvkit.ncpoly import (
     NcPoly,
     accumulate,
+    accumulate_scaled,
     admissible_words,
     all_words,
     is_admissible,
@@ -36,6 +37,16 @@ class TestAccumulate:
         out = accumulate(acc, pairs)
         assert out is acc
         assert acc == {"y": Fraction(5, 2)}
+
+    @pytest.mark.parametrize("factor", [-1, 3, Fraction(1, 2)])
+    def test_scaled_sums_adds_and_drops_cancelled_keys(self, factor):
+        acc = {"x": 1, "y": 2}
+        # y cancels to 0; x sums into an existing key; xy is new
+        terms = {"x": 5, "y": Fraction(-2) / factor, "xy": 4}
+        out = accumulate_scaled(acc, terms, factor)
+        assert out is acc
+        assert acc == {"x": 1 + 5 * factor, "xy": 4 * factor}
+        assert terms == {"x": 5, "y": Fraction(-2) / factor, "xy": 4}
 
     def test_constructor_drops_zero_coefficients(self):
         assert NcPoly({"x": 0}) == NcPoly.zero()

@@ -211,6 +211,7 @@ class TestAugmentedRows:
             words = {key: c for key, c in row.items() if isinstance(key, str)}
             combo = {key: c for key, c in row.items() if isinstance(key, int)}
             assert min(words) == word
+            assert row[word] > 0
             expected = NcPoly.zero()
             for i, c in combo.items():
                 expected = expected + gens[i].image.scale(c)

@@ -37,6 +37,21 @@ def test_trace_child_wraps_every_traced_name(tmp_path):
     assert summary["by_name"]["cli.main"]["calls"] == 1
 
 
+def test_trace_child_records_span_solver(tmp_path):
+    # weight 5: 7 generators of rank 5, and 10 (m, l) cases
+    out = tmp_path / "trace.json"
+    r = subprocess.run(
+        [sys.executable, str(TRACE_CHILD), str(out), "verify", "corollary", "--weight", "5"],
+        capture_output=True, text=True, cwd=tmp_path, env=_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    summary = json.loads(out.read_text())
+    assert summary["counters"]["span.rank"] == 5
+    assert summary["counters"]["span.generators"] == 7
+    assert summary["by_name"]["span.build"]["calls"] == 1
+    assert summary["by_name"]["span.membership"]["calls"] == 10
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     r = subprocess.run(
