@@ -35,7 +35,7 @@ print("d_2(xxy) =", derivation(2, NcPoly.word("xxy")).render())
 
 # d_n kills x+y, hence all its powers.
 s = NcPoly.word("x") + NcPoly.word("y")
-print("d_3((x+y)^4) =", derivation(3, s ** 4).render())
+print("d_3((x+y)^4) =", derivation(3, s * s * s * s).render())
 
 # Index <-> word dictionary.
 w = index_to_word((3, 1, 2))

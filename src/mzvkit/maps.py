@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .ncpoly import NcPoly, X, Y, accumulate, check_word
+from .ncpoly import NcPoly, X, Y, accumulate, admissible_words, check_word
 
 _SWAP = str.maketrans("xy", "yx")
 
@@ -30,8 +30,7 @@ def dn_generator(n: int) -> NcPoly:
     """
     if n < 1:
         raise ValueError("derivation order must be >= 1")
-    xy = NcPoly.word(X) + NcPoly.word(Y)
-    return NcPoly.word(X) * xy ** (n - 1) * NcPoly.word(Y)
+    return NcPoly((w, 1) for w in admissible_words(n + 1))
 
 
 def derivation(n: int, p: NcPoly) -> NcPoly:

@@ -200,14 +200,6 @@ class NcPoly:
             return NcPoly._of(accumulate_product({}, self, other))
         return NotImplemented
 
-    def __pow__(self, n: int) -> "NcPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = NcPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def weight_component(self, k: int) -> "NcPoly":
         return NcPoly._of({w: c for w, c in self._terms.items() if len(w) == k})
 
@@ -236,26 +228,6 @@ class NcPoly:
             else:
                 out += " + " + piece
         return out
-
-    @classmethod
-    def parse(cls, text: str) -> "NcPoly":
-        """Inverse of render()."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        terms = []
-        for sign, chunk in _split_signed(text):
-            chunk = chunk.strip()
-            if "*" in chunk:
-                cstr, w = chunk.split("*", 1)
-                c = Fraction(cstr)
-            elif _WORD_RE.match(chunk) and chunk:
-                c, w = Fraction(1), chunk
-            else:
-                c, w = Fraction(chunk), "1"
-            w = "" if w == "1" else check_word(w)
-            terms.append((w, sign * c))
-        return cls(terms)
 
     def to_dict(self) -> dict:
         return {
@@ -287,15 +259,3 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly({self.render()})"
-
-
-def _split_signed(text: str):
-    """Split 'a + b - c' into [(1,'a'), (1,'b'), (-1,'c')]."""
-    tokens = re.split(r"\s+([+-])\s+", text)
-    sign = 1
-    if tokens[0].startswith("-"):
-        tokens[0] = tokens[0][1:]
-        sign = -1
-    yield sign, tokens[0]
-    for op, chunk in zip(tokens[1::2], tokens[2::2]):
-        yield (1 if op == "+" else -1), chunk

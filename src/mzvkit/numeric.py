@@ -5,15 +5,17 @@ This layer is a sanity net for the symbolic results, not a precision
 instrument; everything is double precision with a fixed summation order,
 so results are deterministic for a fixed cutoff.
 
-One kernel evaluates every index of a combination in a single pass. The
-indices go, reversed, into a suffix trie, so indices that share their
-inner parts (k_j, ..., k_d) share a node, and each node's cumulative sum
-is computed once. The powers n^-k are computed once per distinct part,
-and each trie depth writes into one reused buffer. Memory is therefore
-about (max depth + distinct parts + 1) arrays of cutoff + 1 floats,
-whatever the number of indices. Every per-index value is the same float
-as the one-index nested cumulative sum gives. The cutoff must be at least
-1 and at least the largest depth.
+One entry point, z_eval (zeta_eval is z_eval of one word), sums and
+checks the tail bounds first, so an index whose bound overflows is refused
+before any partial sum is taken. One kernel then takes the distinct
+reversed indices in sorted order; each recomputes only the depths past the
+prefix it shares with the one before, so each distinct suffix
+(k_j, ..., k_d) is computed once, from its parent's buffer. The powers
+n^-k are computed once per distinct part, and each depth writes into one
+reused buffer. Memory is therefore about (max depth + distinct parts + 1)
+arrays of cutoff + 1 floats, whatever the number of indices. Every
+per-index value is the same float as the one-index nested cumulative sum
+gives. The cutoff must be at least 1 and at least the largest depth.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maps import is_admissible_index, word_to_index
+from .maps import index_to_word, is_admissible_index, word_to_index
 from .ncpoly import NcPoly
 
 
@@ -55,84 +57,84 @@ def zeta_tail_bound(parts, m: int) -> float:
 
 def _partial_sums(indices, m: int) -> dict:
     """Partial sums over m1 <= m of every index in `indices`, as a dict
-    index -> float: cumulative sums from the innermost part outward along
-    a suffix trie of the indices (cost O(m) per distinct suffix)."""
+    index -> float: cumulative sums from the innermost part outward, one
+    pass over the sorted reversed indices (cost O(m) per distinct suffix)."""
     # imported here so that commands which never evaluate do not load numpy
     import numpy as np
 
-    if m < 1:
-        raise ValueError(f"cutoff must be at least 1, got {m}")
-    trie: dict = {}
-    for parts in indices:
-        if m < len(parts):
-            raise ValueError("cutoff smaller than depth")
-        node = trie
-        for k in reversed(parts):
-            node = node.setdefault(k, {})
-        node[None] = parts
+    suffixes = sorted({parts[::-1] for parts in indices})
+    depth = max(map(len, suffixes), default=0)
+    if m < depth:
+        raise ValueError("cutoff smaller than depth")
     idx = np.arange(m + 1, dtype=np.float64)
     idx[0] = 1.0  # avoid 0**-k; slot 0 is zeroed below
     powers = {}
-    for k in {k for parts in indices for k in parts}:
+    for k in {k for rev in suffixes for k in rev}:
         powers[k] = idx ** float(-k)
         powers[k][0] = 0.0
     del idx
-    depth = max((len(parts) for parts in indices), default=0)
+    # bufs[d] holds the nested sum of prev[:d + 1], for d < len(prev)
     bufs = [np.empty(m + 1) for _ in range(depth)]
     sums = {}
-
-    def walk(node, d):
-        for k, child in node.items():
-            if k is None:
-                continue
+    prev = ()
+    for rev in suffixes:
+        shared = 0
+        while shared < len(prev) and prev[shared] == rev[shared]:
+            shared += 1
+        for d in range(shared, len(rev)):
             buf = bufs[d]
             if d == 0:
-                np.cumsum(powers[k], out=buf)
+                np.cumsum(powers[rev[0]], out=buf)
             else:
                 # inner indices strictly below the current one
-                np.multiply(powers[k][1:], bufs[d - 1][:-1], out=buf[1:])
+                np.multiply(powers[rev[d]][1:], bufs[d - 1][:-1], out=buf[1:])
                 buf[0] = 0.0
                 np.cumsum(buf, out=buf)
-            if None in child:
-                sums[child[None]] = float(buf[-1])
-            walk(child, d + 1)
-
-    walk(trie, 0)
+        sums[rev[::-1]] = float(bufs[len(rev) - 1][-1])
+        prev = rev
     return sums
 
 
 def zeta_eval(parts, m: int) -> EvalResult:
-    """Partial sum of zeta(k1,...,kd) over m1 <= m, by cumulative sums
-    from the innermost index outward (cost O(m * depth))."""
+    """Partial sum of zeta(k1,...,kd) over m1 <= m: z_eval of its word."""
     parts = tuple(parts)
     if not is_admissible_index(parts):
         raise ValueError(
             f"divergent series: index {parts} needs k1 >= 2 and every part >= 1"
         )
-    value = _partial_sums([parts], m)[parts]
-    return EvalResult(value, m, zeta_tail_bound(parts, m))
+    return z_eval(NcPoly.word(index_to_word(parts)), m)
 
 
 def z_eval(p: NcPoly, m: int) -> EvalResult:
     """Z extended linearly: constant term maps to its scalar, each admissible
-    word to its zeta value; tail bounds add with |coeff| weights. A value
-    or bound that overflows double precision is a ValueError."""
+    word to its zeta value; tail bounds add with |coeff| weights. A tail
+    bound that overflows double precision is a ValueError, raised before
+    any partial sum is taken; so is a value that overflows."""
     if not p.admissible_support():
         raise ValueError("outside domain of Z: support not admissible")
+    if m < 1:
+        raise ValueError(f"cutoff must be at least 1, got {m}")
     try:
         terms = [(word_to_index(w) if w else None, float(c)) for w, c in p.items()]
     except OverflowError:
         raise ValueError("a coefficient does not fit in a float") from None
+    tail = 0.0
+    try:
+        for parts, c in terms:
+            if parts:
+                tail += abs(c) * zeta_tail_bound(parts, m)
+    except OverflowError:
+        tail = math.inf
+    if not math.isfinite(tail):
+        raise ValueError(
+            f"tail bound overflows double precision at cutoff {m}:"
+            " an index is too deep or a coefficient too large for a bound"
+        )
     sums = _partial_sums([parts for parts, _ in terms if parts], m)
     value = 0.0
-    tail = 0.0
     for parts, c in terms:
-        if parts is None:
-            value += c
-            continue
-        value += c * sums[parts]
-        tail += abs(c) * zeta_tail_bound(parts, m)
-    if not (math.isfinite(value) and math.isfinite(tail)):
+        value += c if parts is None else c * sums[parts]
+    if not math.isfinite(value):
         raise ValueError(
             f"Z-value overflows double precision (value {value}, tail bound {tail}):"
             " a coefficient is too large"

@@ -55,10 +55,6 @@ class Series3:
         return out
 
     @classmethod
-    def zero(cls, order: int) -> "Series3":
-        return cls(order)
-
-    @classmethod
     def scalar(cls, c, order: int) -> "Series3":
         return cls(order, {(0, 0, 0): NcPoly.one().scale(c)})
 
@@ -141,16 +137,6 @@ class Series3:
                 for m, p in self.items()
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Series3":
-        return cls(
-            data["order"],
-            (
-                ((t["u"], t["v"], t["w"]), NcPoly.from_dict(t["poly"]))
-                for t in data["terms"]
-            ),
-        )
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{m}: {p.render()}" for m, p in self.items())

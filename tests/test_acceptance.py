@@ -116,7 +116,7 @@ def test_08_solver_oracle_weight_le_6():
 
 
 def test_09_numeric_residuals():
-    euler = z_eval(NcPoly.parse("-xxy + xyy"), 10 ** 6)
+    euler = z_eval(NcPoly({"xxy": -1, "xyy": 1}), 10 ** 6)
     ok = abs(euler.value) < 1e-4
     zeta2 = zeta_eval((2,), 10 ** 6)
     ok = ok and abs(zeta2.value - 1.6449340668) < 1e-5

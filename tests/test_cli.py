@@ -43,12 +43,12 @@ class TestDerive:
     def test_word_emits_ncpoly_json(self, capsys):
         code, out, _ = run(capsys, "derive", "1", "xy")
         assert code == 0
-        assert NcPoly.from_dict(json.loads(out)) == NcPoly.parse("-xxy + xyy")
+        assert NcPoly.from_dict(json.loads(out)) == NcPoly({"xxy": -1, "xyy": 1})
 
     def test_index_argument(self, capsys):
         code, out, _ = run(capsys, "derive", "1", "(2)")
         assert code == 0
-        assert NcPoly.from_dict(json.loads(out)) == NcPoly.parse("-xxy + xyy")
+        assert NcPoly.from_dict(json.loads(out)) == NcPoly({"xxy": -1, "xyy": 1})
 
 
 class TestDelta:
@@ -225,6 +225,51 @@ class TestEvalAndResidual:
         code, out, err = run(capsys, "--format", "json", "residual", str(path), "--cutoff", "100")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "overflows" in err
+
+
+def _deep_index(depth):
+    """(2,1,...,1) of the given depth."""
+    return "(2" + ",1" * (depth - 1) + ")"
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+# Inputs too deep for a finite tail bound or for the recursion limit.
+HOSTILE = {
+    "eval-depth172": lambda tmp: ["eval", _deep_index(172), "--cutoff", "1000"],
+    "eval-depth400": lambda tmp: ["eval", _deep_index(400), "--cutoff", "500"],
+    "eval-depth1200": lambda tmp: ["eval", _deep_index(1200), "--cutoff", "1300"],
+    "residual-depth400": lambda tmp: [
+        "residual", _write(tmp, json.dumps(NcPoly.word("x" + "y" * 400).to_dict())),
+        "--cutoff", "500",
+    ],
+    "delta-500-letters": lambda tmp: ["delta", "--var", "u", "--order", "1", "xy" * 250],
+    "residual-nested-json": lambda tmp: [
+        "residual", _write(tmp, "[" * 100000 + "]" * 100000), "--cutoff", "100",
+    ],
+}
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, case):
+        code, out, err = run(capsys, *HOSTILE[case](tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_deepest_finite_bound_still_evaluates(self, capsys):
+        # depth 171 is the last whose (2,1,...,1) bound is finite (about
+        # 2e307, so meaningless); its output is pinned
+        code, out, _ = run(capsys, "eval", _deep_index(171), "--cutoff", "1000")
+        assert code == 0
+        assert out.startswith("value=0.000000000000 tail_bound=19727700988666652")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "b538d39dcb7bae565dd543808e9c59ffd0eab5e441084ecb742f3193a763a55f"
 
 
 class TestSpanCommand:

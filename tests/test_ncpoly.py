@@ -133,10 +133,6 @@ class TestWordEncoding:
 
 class TestSerialization:
     @given(polys)
-    def test_render_parse_roundtrip(self, p):
-        assert NcPoly.parse(p.render()) == p
-
-    @given(polys)
     def test_json_roundtrip(self, p):
         assert NcPoly.from_dict(p.to_dict()) == p
 

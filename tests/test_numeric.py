@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from mzvkit import numeric
 from mzvkit.cli import main
 from mzvkit.maps import derivation, dual_index, word_to_index
 from mzvkit.ncpoly import NcPoly, admissible_words
@@ -28,7 +29,7 @@ def brute_zeta(parts, m):
 
 def nested_cumsum(parts, m):
     """One index at a time: fresh powers and cumulative sums from the
-    innermost part outward. The independent oracle of the suffix-trie
+    innermost part outward. The independent oracle of the sorted-suffix
     kernel, which must give the same float for every index."""
     idx = np.arange(m + 1, dtype=np.float64)
     idx[0] = 1.0  # avoid 0**-k; slot 0 is zeroed below
@@ -74,10 +75,10 @@ def _combinations():
     return cases + [
         pytest.param(NcPoly.word("xy"), id="depth1-word"),
         pytest.param(NcPoly.word("xxyxyxyy", -3), id="deep-word"),
-        pytest.param(NcPoly.parse("2 + xy - 3*xxy"), id="constant-and-depth1"),
+        pytest.param(NcPoly({"": 2, "xy": 1, "xxy": -3}), id="constant-and-depth1"),
         # shared suffixes (.., 1, 1) and (.., 2, 1), and repeated parts
         pytest.param(
-            NcPoly.parse("xyyy + xxyyy + xyxyyy - xxyxyy + 5*xyxyxy + xxyxxy"),
+            NcPoly({"xyyy": 1, "xxyyy": 1, "xyxyyy": 1, "xxyxyy": -1, "xyxyxy": 5, "xxyxxy": 1}),
             id="shared-suffixes",
         ),
     ]
@@ -112,6 +113,13 @@ class TestSuffixTrieKernel:
         value, tail = oracle_z_eval(p, cutoff)
         expected = {"value": f"{value:.12f}", "cutoff": cutoff, "tail_bound": f"{tail:.12f}"}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    def test_kernel_is_flat_at_any_depth(self):
+        # depth 1200 is past the recursion limit; the shallow indices share
+        # the deep ones' buffers in the sorted pass
+        indices = [(2,) + (1,) * 1199, (2,) + (1,) * 1198, (3, 1), (2, 1), (2, 2, 1)]
+        sums = numeric._partial_sums(indices, 1300)
+        assert sums == {parts: nested_cumsum(parts, 1300) for parts in indices}
 
 
 class TestZetaEval:
@@ -210,9 +218,22 @@ class TestZEval:
         with pytest.raises(ValueError, match="at least 1"):
             z_eval(NcPoly.one().scale(3), m)
 
+    @pytest.mark.parametrize("depth, m", [(172, 1000), (400, 500), (1200, 1300)])
+    def test_rejects_an_overflowing_tail_bound(self, depth, m):
+        with pytest.raises(ValueError, match="tail bound overflows"):
+            zeta_eval((2,) + (1,) * (depth - 1), m)
+
+    def test_checks_the_bound_before_any_partial_sum(self, monkeypatch):
+        def kernel(indices, m):
+            raise AssertionError("partial sums taken before the bound check")
+
+        monkeypatch.setattr(numeric, "_partial_sums", kernel)
+        with pytest.raises(ValueError, match="tail bound overflows"):
+            z_eval(NcPoly.word("x" + "y" * 400), 500)
+
     def test_rejects_cutoff_below_depth(self):
         with pytest.raises(ValueError, match="smaller than depth"):
-            z_eval(NcPoly.parse("xy + xyyy"), 2)
+            z_eval(NcPoly({"xy": 1, "xyyy": 1}), 2)
 
     def test_certificate_residuals(self):
         from mzvkit.span import corollary_check_all

@@ -48,8 +48,10 @@ class TestArithmetic:
 
     def test_json_roundtrip(self):
         f = one(2) + Series3.single(P("xy", Fraction(-1, 3)), (1, 0, 1), 2)
-        assert Series3.from_dict(f.to_dict()) == f
-        assert f.to_dict()["order"] == 2
+        assert f.to_dict() == {"order": 2, "terms": [
+            {"u": 0, "v": 0, "w": 0, "poly": {"terms": [{"word": "", "coeff": "1"}]}},
+            {"u": 1, "v": 0, "w": 1, "poly": {"terms": [{"word": "xy", "coeff": "-1/3"}]}},
+        ]}
 
 
 class TestConstructor:
@@ -59,7 +61,7 @@ class TestConstructor:
     def test_drops_cancelling_entries(self):
         f = Series3(3, [((1, 0, 0), P("xy")), ((1, 0, 0), P("xy", -1))])
         assert f.is_zero()
-        assert f == Series3.zero(3)
+        assert f == Series3(3)
 
     def test_drops_terms_above_order(self):
         f = Series3(2, [((1, 1, 1), P("x")), ((0, 0, 1), P("y"))])
@@ -70,9 +72,6 @@ class TestConstructor:
         # land in layer 0
         with pytest.raises(ValueError):
             Series3(2, [((0, -1, 1), P("x"))])
-        with pytest.raises(ValueError):
-            Series3.from_dict({"order": 2, "terms": [
-                {"u": 0, "v": 0, "w": -1, "poly": P("x").to_dict()}]})
 
 
 class TestGradedStorageOracle:
@@ -370,7 +369,7 @@ class TestDivideByVMinusW:
             divide_by_v_minus_w(Series3.from_poly(P("xy"), 0))
         assert (info.value.monomial, info.value.coeff) == ((0, 0, 0), P("xy"))
         with pytest.raises(ValueError) as info:
-            divide_by_v_minus_w(Series3.zero(0))
+            divide_by_v_minus_w(Series3(0))
         assert not isinstance(info.value, NotDivisibleError)
 
     def test_rejects_nonvanishing_diagonal(self):
