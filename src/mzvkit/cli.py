@@ -1,5 +1,9 @@
 """Command-line front end: reproducible verification runs with JSON artifacts.
 
+Each handler returns ``(code, payload, text)`` and prints nothing; ``text`` is
+``None`` for commands that always print JSON. ``main`` alone serializes the
+payload, writes the ``--certificates``/``--dump`` file and prints.
+
 Exit status: 0 when all requested checks pass, 1 on a verification failure,
 2 on usage errors.
 """
@@ -23,6 +27,10 @@ from .series import delta_subst
 
 DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
+# derive refuses an input whose output could exceed this many letters
+MAX_DERIVE_LETTERS = 10**8
+
+Result = tuple[int, object, str | None]
 
 
 def _order(args, fallback: int) -> int:
@@ -41,16 +49,9 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _emit(args, payload: dict, text: str):
-    if args.format == "json":
-        print(_dump(payload))
-    else:
-        print(text)
-
-
 # -- subcommand handlers ----------------------------------------------
 
-def cmd_verify_theorem(args) -> int:
+def cmd_verify_theorem(args) -> Result:
     reports = []
     if args.eq in ("2", "all"):
         reports.append(identities.verify_duality_zeta(_order(args, DEFAULT_ORDER_EQ2)))
@@ -58,84 +59,70 @@ def cmd_verify_theorem(args) -> int:
         reports.append(identities.verify_duality_k1(_order(args, DEFAULT_ORDER_EQ3)))
     if args.eq in ("lemmas", "all"):
         reports.extend(identities.verify_proof_steps(_order(args, DEFAULT_ORDER_EQ3)))
-    if args.format == "json":
-        print(_dump([r.to_dict() for r in reports]))
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            line = f"{status}  {r.name} (order {r.order})"
-            if not r.passed:
-                line += f"  first failure at {r.failing_monomial}: {r.failing_diff}"
-            print(line)
-    return 0 if all(r.passed for r in reports) else 1
+    lines = []
+    for r in reports:
+        status = "PASS" if r.passed else "FAIL"
+        line = f"{status}  {r.name} (order {r.order})"
+        if not r.passed:
+            line += f"  first failure at {r.failing_monomial}: {r.failing_diff}"
+        lines.append(line)
+    code = 0 if all(r.passed for r in reports) else 1
+    return code, [r.to_dict() for r in reports], "\n".join(lines)
 
 
-def cmd_verify_corollary(args) -> int:
+def cmd_verify_corollary(args) -> Result:
     k = args.weight
-    try:
-        if args.m is not None or args.l is not None:
-            if args.m is None or args.l is None:
-                print("error: --m and --l must be given together", file=sys.stderr)
-                return 2
-            cases = [(args.m, args.l, span.corollary_check(k, args.m, args.l))]
-        else:
-            cases = span.corollary_check_all(k)
-    except span.NotInSpanError as exc:
-        print(f"FAIL  {exc}", file=sys.stderr)
-        return 1
+    if args.m is None and args.l is None:
+        cases = span.corollary_check_all(k)
+    elif args.m is None or args.l is None:
+        raise ValueError("--m and --l must be given together")
+    else:
+        cases = [(args.m, args.l, span.corollary_check(k, args.m, args.l))]
     certs = [
         {"k": k, "m": m, "l": l, "certificate": cert.to_dict()}
         for m, l, cert in cases
     ]
-    text = _dump(certs) if args.certificates or args.format == "json" else None
-    if args.certificates:
-        with open(args.certificates, "w") as fh:
-            fh.write(text + "\n")
-    if args.format == "json":
-        print(text)
-    else:
-        print(f"PASS  corollary at weight {k}: {len(cases)} case(s) certified")
-    return 0
+    return 0, certs, f"PASS  corollary at weight {k}: {len(cases)} case(s) certified"
 
 
-def cmd_dual(args) -> int:
-    d = dual_index(index_from_str(args.index))
-    _emit(args, {"dual": index_to_str(d)}, index_to_str(d))
-    return 0
+def cmd_dual(args) -> Result:
+    d = index_to_str(dual_index(index_from_str(args.index)))
+    return 0, {"dual": d}, d
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> Result:
     word = _parse_word_or_index(args.arg)
-    result = derivation(args.n, NcPoly.word(word))
-    print(_dump(result.to_dict()))
-    return 0
+    n, size = args.n, max(len(word), 1)
+    # d_n writes up to 2^(n-1) words of len(word) + n letters per letter (its
+    # generator alone is 2^(n-1) words of n + 1 letters); n > 27 exceeds the
+    # bound for any word, so 2**(n-1) is never computed for a huge n
+    if n > 27 or size * 2 ** (n - 1) * (size + n) > MAX_DERIVE_LETTERS:
+        raise ValueError(f"d_{n} on a length-{len(word)} word may exceed "
+                         f"{MAX_DERIVE_LETTERS} letters")
+    return 0, derivation(n, NcPoly.word(word)).to_dict(), None
 
 
-def cmd_delta(args) -> int:
+def cmd_delta(args) -> Result:
     word = _parse_word_or_index(args.word)
-    s = delta_subst(args.var, NcPoly.word(word), args.order)
-    print(_dump(s.to_dict()))
-    return 0
+    return 0, delta_subst(args.var, NcPoly.word(word), args.order).to_dict(), None
 
 
-def _emit_eval(args, r: numeric.EvalResult):
+def _eval_result(r: numeric.EvalResult) -> Result:
     payload = {"value": f"{r.value:.12f}", "cutoff": r.cutoff, "tail_bound": f"{r.tail_bound:.12f}"}
-    _emit(args, payload, f"value={r.value:.12f} tail_bound={r.tail_bound:.12f}")
+    return 0, payload, f"value={r.value:.12f} tail_bound={r.tail_bound:.12f}"
 
 
-def cmd_eval(args) -> int:
-    _emit_eval(args, numeric.zeta_eval(index_from_str(args.index), args.cutoff))
-    return 0
+def cmd_eval(args) -> Result:
+    return _eval_result(numeric.zeta_eval(index_from_str(args.index), args.cutoff))
 
 
-def cmd_residual(args) -> int:
+def cmd_residual(args) -> Result:
     with open(args.file) as fh:
         p = NcPoly.from_dict(json.load(fh))
-    _emit_eval(args, numeric.z_eval(p, args.cutoff))
-    return 0
+    return _eval_result(numeric.z_eval(p, args.cutoff))
 
 
-def cmd_span(args) -> int:
+def cmd_span(args) -> Result:
     basis = span.span_basis(args.weight)
     payload = {
         "weight": basis.weight,
@@ -144,11 +131,7 @@ def cmd_span(args) -> int:
             for g in basis.generators
         ],
     }
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.write(_dump(payload) + "\n")
-    _emit(args, payload, f"weight {basis.weight}: {len(basis.generators)} generators")
-    return 0
+    return 0, payload, f"weight {basis.weight}: {len(basis.generators)} generators"
 
 
 # -- parser -----------------------------------------------------------
@@ -174,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--weight", type=int, required=True)
     p_cor.add_argument("--m", type=int, default=None)
     p_cor.add_argument("--l", type=int, default=None)
-    p_cor.add_argument("--certificates", metavar="PATH", default=None)
+    p_cor.add_argument("--certificates", dest="out", metavar="PATH", default=None)
     p_cor.set_defaults(func=cmd_verify_corollary)
 
     p_dual = sub.add_parser("dual", help="dual of an admissible index")
@@ -204,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_span = sub.add_parser("span", help="derivation span generators")
     p_span.add_argument("--weight", type=int, required=True)
-    p_span.add_argument("--dump", metavar="PATH", default=None)
+    p_span.add_argument("--dump", dest="out", metavar="PATH", default=None)
     p_span.set_defaults(func=cmd_span)
 
     return parser
@@ -212,11 +195,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
-    except (ValueError, OSError, RecursionError) as exc:
+        code, payload, text = args.func(args)
+        if args.format == "json" or text is None:
+            text = _dump(payload)
+        if out:  # the bytes --format json prints, encoded once
+            with open(out, "w") as fh:
+                fh.write((text if args.format == "json" else _dump(payload)) + "\n")
+        print(text)
+    except span.NotInSpanError as exc:
+        print(f"FAIL  {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nested too deeply for Python's recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

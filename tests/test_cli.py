@@ -50,6 +50,12 @@ class TestDerive:
         assert code == 0
         assert NcPoly.from_dict(json.loads(out)) == NcPoly({"xxy": -1, "xyy": 1})
 
+    def test_long_word_below_the_output_bound_runs(self, capsys):
+        # 6000 letters give about 36 MB of JSON, well inside the bound
+        code, out, err = run(capsys, "derive", "1", "(6000)")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["terms"]
+
 
 class TestDelta:
     def test_delta_on_x(self, capsys):
@@ -122,18 +128,39 @@ class TestVerifyCorollary:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    def test_json_stdout_matches_certificate_file(self, capsys, tmp_path):
-        path = tmp_path / "certs.json"
-        code, out, _ = run(
-            capsys, "--format", "json",
-            "verify", "corollary", "--weight", "6", "--certificates", str(path),
-        )
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("verify", "corollary", "--weight", "6", "--certificates"),
+             "5f8e9146434fa3a330d7cd2f541b2994a562b64063d72673568434f78c5992c5"),
+            (("span", "--weight", "6", "--dump"),
+             "461f836018f0f6cd45e0d2a1131c09a099a5044ae37c8c57806b130236e48a30"),
+        ],
+        ids=["corollary", "span"],
+    )
+    def test_json_stdout_matches_certificate_file(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "out.json"
+        code, out, _ = run(capsys, "--format", "json", *argv, str(path))
         assert code == 0
         assert out == path.read_text()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_m_without_l_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "verify", "corollary", "--weight", "4", "--m", "1")
-        assert code == 2
+        for flag in ("--m", "--l"):
+            code, out, err = run(capsys, "verify", "corollary", "--weight", "4", flag, "1")
+            assert (code, out) == (2, "")
+            assert err == "error: --m and --l must be given together\n"
+
+    def test_falsification_exits_1(self, capsys, monkeypatch):
+        import mzvkit.span as span_mod
+
+        monkeypatch.setattr(span_mod, "membership", lambda target, k: None)
+        code, out, err = run(capsys, "verify", "corollary", "--weight", "4")
+        assert (code, out) == (1, "")
+        assert err == (
+            "FAIL  FALSIFICATION: (1-tau)(sum_word(4,1,1)) is not in the "
+            "derivation span at weight 4\n"
+        )
 
     @pytest.mark.parametrize("weight", ["1", "0", "-3"])
     def test_weight_below_two_is_usage_error(self, capsys, weight):
@@ -238,7 +265,8 @@ def _write(tmp_path, text):
     return str(path)
 
 
-# Inputs too deep for a finite tail bound or for the recursion limit.
+# Inputs too deep for a finite tail bound or for the recursion limit, or
+# whose derive output could not fit in memory.
 HOSTILE = {
     "eval-depth172": lambda tmp: ["eval", _deep_index(172), "--cutoff", "1000"],
     "eval-depth400": lambda tmp: ["eval", _deep_index(400), "--cutoff", "500"],
@@ -251,6 +279,10 @@ HOSTILE = {
     "residual-nested-json": lambda tmp: [
         "residual", _write(tmp, "[" * 100000 + "]" * 100000), "--cutoff", "100",
     ],
+    "derive-long-word": lambda tmp: ["derive", "1", "(10000000)"],
+    "derive-high-order": lambda tmp: ["derive", "40", "xy"],
+    "derive-huge-order": lambda tmp: ["derive", "1000000000", "xy"],
+    "derive-empty-word": lambda tmp: ["derive", "26", ""],
 }
 
 
@@ -261,6 +293,12 @@ class TestHostileInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["delta-500-letters", "residual-nested-json"])
+    def test_recursion_error_names_the_limit(self, capsys, tmp_path, case):
+        _, _, err = run(capsys, *HOSTILE[case](tmp_path))
+        limit = sys.getrecursionlimit()
+        assert err == f"error: input nested too deeply for Python's recursion limit ({limit})\n"
 
     def test_deepest_finite_bound_still_evaluates(self, capsys):
         # depth 171 is the last whose (2,1,...,1) bound is finite (about
@@ -282,6 +320,46 @@ class TestSpanCommand:
         assert [g["n"] for g in data["generators"]] == [1, 1, 2]
         for g in data["generators"]:
             NcPoly.from_dict(g["image"])
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("verify", "theorem"),
+             "68613b68527dfc0195854efc1e4dfff9326a90c0bd3e7054c5b3f88c29cc83cd"),
+            (("verify", "corollary", "--weight", "8"),
+             "69ac35d2997fcbad00bd393b49982b2f42197753941d3b629768dccb87c72688"),
+            (("--format", "json", "verify", "theorem"),
+             "183ad94840b88053c73fd78081e743035c6d3e08136ab2c2f94c6eb9c159988a"),
+            (("--format", "json", "dual", "(3,1,2)"),
+             "083a2d2b845abd1845c484a5b1251ef23d595fcc62656b81f9ae6ccba223bfee"),
+        ],
+        ids=["theorem-text", "corollary-text", "theorem-json", "dual-json"],
+    )
+    def test_stdout_bytes(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "corollary", "--weight", "4"),
+            ("verify", "theorem", "--eq", "2", "--order", "3"),
+            ("dual", "(3)"),
+            ("eval", "(2,1)", "--cutoff", "10"),
+        ],
+    )
+    def test_text_mode_does_not_serialize(self, capsys, monkeypatch, argv):
+        import mzvkit.cli as cli_mod
+
+        def refuse(obj):
+            raise AssertionError("text output must not encode JSON")
+
+        monkeypatch.setattr(cli_mod, "_dump", refuse)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
 
 
 class TestDeterminism:
