@@ -211,6 +211,9 @@ def main(argv=None) -> int:
         print("error: input nested too deeply for Python's recursion limit "
               f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: input too large to fit in memory", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -209,27 +209,27 @@ def verify_proof_steps(order: int) -> list[IdentityReport]:
     exact truncated-series equality."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    b = _Blocks(order)
-    kernel, kernel_w, inv_yu = b.kernel(), b.kernel("yw"), b.inv("yu")
+    b, bu = _Blocks(order), _Blocks(order, "u")
+    kernel_w, inv_yu = b.kernel("yw"), b.inv("yu")
     return [
         compare_series(
             "lemma-1: Delta_u(1-xu)",
-            delta_on_series("u", b.lin("xu")),
+            bu.lin("xu"),
             b.lin("xu", "yu") * inv_yu,
         ),
         compare_series(
             "lemma-2: Delta_u(kernel-yw)",
-            delta_on_series("u", kernel_w),
+            bu.kernel("yw"),
             b.lin("xu", "yu") * b.lin("xv", "yw") * inv_yu,
         ),
         compare_series(
             "lemma-3: Delta_v(kernel)",
-            delta_on_series("v", kernel),
+            _Blocks(order, "v").kernel(),
             b.lin("xv", "yv") * b.lin("xu") * b.inv("yv"),
         ),
         compare_series(
             "lemma-4: Delta_w(kernel)",
-            delta_on_series("w", kernel),
+            _Blocks(order, "w").kernel(),
             kernel_w * b.inv("yw"),
         ),
         compare_series(
@@ -246,6 +246,6 @@ def lemma2_swapped_control(order: int) -> IdentityReport:
     b = _Blocks(order)
     return compare_series(
         "lemma-2 swapped factors (negative control)",
-        delta_on_series("u", b.kernel("yw")),
+        _Blocks(order, "u").kernel("yw"),
         b.lin("xv", "yw") * b.lin("xu", "yu") * b.inv("yu"),
     )

@@ -17,11 +17,11 @@ from fractions import Fraction
 X = "x"
 Y = "y"
 
-_WORD_RE = re.compile(r"^[xy]*$")
+_WORD_RE = re.compile(r"[xy]*")
 
 
 def check_word(w: str) -> str:
-    if not _WORD_RE.match(w):
+    if not _WORD_RE.fullmatch(w):
         raise ValueError(f"not a word over x,y: {w!r}")
     return w
 

@@ -2,8 +2,8 @@
 NcPoly coefficients, truncated by total degree.
 
 Includes geometric inversion, the automorphism Delta_t in two independent
-implementations (closed-form substitution and exp of derivations), and the
-divided difference (F_v - F_w)/(v - w).
+routes (the closed-form letter images multiplied left to right over a word,
+and exp of derivations), and the divided difference (F_v - F_w)/(v - w).
 """
 
 from __future__ import annotations
@@ -198,10 +198,10 @@ def _delta_letter(var: str, letter: str, order: int) -> Series3:
 
 @lru_cache(maxsize=None)
 def _delta_word(var: str, word: str, order: int) -> Series3:
-    if not word:
-        return Series3.scalar(1, order)
-    res = _delta_word(var, word[:-1], order)
-    return res * _delta_letter(var, word[-1], order)
+    out = Series3.scalar(1, order)
+    for letter in word:
+        out = out * _delta_letter(var, letter, order)
+    return out
 
 
 def delta_on_series(var: str, f: Series3) -> Series3:

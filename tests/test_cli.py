@@ -22,6 +22,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _child_env(**extra):
+    """The environment of a child process that imports the same mzvkit
+    source as this suite."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(mzvkit.__file__).parent.parent), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 class TestDual:
     def test_example(self, capsys):
         code, out, _ = run(capsys, "dual", "(3)")
@@ -65,6 +75,21 @@ class TestDelta:
         assert data["order"] == 2
         words = {(t["u"], t["v"], t["w"]): t["poly"]["terms"][0]["word"] for t in data["terms"]}
         assert words == {(0, 0, 0): "x", (1, 0, 0): "xy", (2, 0, 0): "xyy"}
+
+    def test_500_letter_word_runs(self, capsys):
+        # The linear term of Delta_u = exp(sum_n d_n u^n / n) is d_1.
+        word = "xy" * 250
+        code, out, _ = run(capsys, "delta", "--var", "u", "--order", "1", word)
+        assert code == 0
+        coeffs = {
+            (t["u"], t["v"], t["w"]): NcPoly.from_dict(t["poly"])
+            for t in json.loads(out)["terms"]
+        }
+        _, d1, _ = run(capsys, "derive", "1", word)
+        assert coeffs == {
+            (0, 0, 0): NcPoly.word(word),
+            (1, 0, 0): NcPoly.from_dict(json.loads(d1)),
+        }
 
 
 class TestVerifyTheorem:
@@ -265,8 +290,8 @@ def _write(tmp_path, text):
     return str(path)
 
 
-# Inputs too deep for a finite tail bound or for the recursion limit, or
-# whose derive output could not fit in memory.
+# Inputs too deep for a finite tail bound or for the recursion limit, whose
+# derive output could not fit in memory, or whose word ends in a newline.
 HOSTILE = {
     "eval-depth172": lambda tmp: ["eval", _deep_index(172), "--cutoff", "1000"],
     "eval-depth400": lambda tmp: ["eval", _deep_index(400), "--cutoff", "500"],
@@ -275,7 +300,6 @@ HOSTILE = {
         "residual", _write(tmp, json.dumps(NcPoly.word("x" + "y" * 400).to_dict())),
         "--cutoff", "500",
     ],
-    "delta-500-letters": lambda tmp: ["delta", "--var", "u", "--order", "1", "xy" * 250],
     "residual-nested-json": lambda tmp: [
         "residual", _write(tmp, "[" * 100000 + "]" * 100000), "--cutoff", "100",
     ],
@@ -283,6 +307,12 @@ HOSTILE = {
     "derive-high-order": lambda tmp: ["derive", "40", "xy"],
     "derive-huge-order": lambda tmp: ["derive", "1000000000", "xy"],
     "derive-empty-word": lambda tmp: ["derive", "26", ""],
+    "derive-trailing-newline": lambda tmp: ["derive", "1", "xy\n"],
+    "delta-trailing-newline": lambda tmp: ["delta", "--var", "u", "--order", "1", "xy\n"],
+    "residual-trailing-newline": lambda tmp: [
+        "residual", _write(tmp, json.dumps({"terms": [{"word": "xy\n", "coeff": "1"}]})),
+        "--cutoff", "100",
+    ],
 }
 
 
@@ -294,11 +324,35 @@ class TestHostileInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("case", ["delta-500-letters", "residual-nested-json"])
+    @pytest.mark.parametrize("case", ["residual-nested-json"])
     def test_recursion_error_names_the_limit(self, capsys, tmp_path, case):
         _, _, err = run(capsys, *HOSTILE[case](tmp_path))
         limit = sys.getrecursionlimit()
         assert err == f"error: input nested too deeply for Python's recursion limit ({limit})\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual", "(100000000000)"],
+            ["eval", "(100000000000)", "--cutoff", "10"],
+            ["derive", "1", "(100000000000)"],
+        ],
+        ids=["dual", "eval", "derive"],
+    )
+    def test_oversized_index_part_exits_2(self, argv):
+        # The part's word alone needs about 100 GB. The child runs under a
+        # 1 GB address-space limit, so the allocation fails at once.
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        r = subprocess.run(
+            [sys.executable, "-m", "mzvkit.cli", *argv], capture_output=True, text=True,
+            env=_child_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=limit_memory,
+        )
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: input too large to fit in memory\n"
 
     def test_deepest_finite_bound_still_evaluates(self, capsys):
         # depth 171 is the last whose (2,1,...,1) bound is finite (about
@@ -403,10 +457,7 @@ def test_console_entry_point(tmp_path):
     # Runs the declared script target in a fresh process, importing the same
     # mzvkit source as this suite, so no installed script is needed.
     target = _script_target("mzvkit")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(mzvkit.__file__).parent.parent), env.get("PYTHONPATH")])
-    )
+    env = _child_env()
 
     def run_script(*argv):
         return subprocess.run(
@@ -432,13 +483,9 @@ def test_installed_console_script():
 
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is loaded only by the numeric commands that need it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(mzvkit.__file__).parent.parent), env.get("PYTHONPATH")])
-    )
     r = subprocess.run(
         [sys.executable, "-c", "import sys, mzvkit.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"

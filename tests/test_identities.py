@@ -222,18 +222,29 @@ class TestDualityK1:
         assert report.failing_diff == "xx + xy"
 
 
+# The Delta sides of the proof lemmas, as built on a _Blocks.
+_LEMMA_FACTORS = {
+    "lin-xu": lambda b: b.lin("xu"),
+    "kernel-yw": lambda b: b.kernel("yw"),
+    "kernel": lambda b: b.kernel(),
+}
+
+
 class TestFactorwiseDelta:
-    # The Delta_t-image of a generating function built on _Blocks(n, t)
-    # must equal delta_on_series applied to the expanded product.
+    # The Delta_t-image of a generating function or lemma factor built on
+    # _Blocks(n, t) must equal delta_on_series applied to the expanded product.
     @pytest.mark.parametrize("order", range(1, 7))
     @pytest.mark.parametrize(
         "build, var",
-        [("_inner1", "v"), ("_inner1", "w"), ("_inner2", "u"), ("_zeta_base", "u")],
+        [
+            ("_inner1", "v"), ("_inner1", "w"), ("_inner2", "u"), ("_zeta_base", "u"),
+            ("lin-xu", "u"), ("kernel-yw", "u"), ("kernel", "v"), ("kernel", "w"),
+        ],
     )
     def test_matches_expanded_route(self, build, var, order):
         import mzvkit.identities as identities
 
-        f = getattr(identities, build)
+        f = _LEMMA_FACTORS.get(build) or getattr(identities, build)
         expanded = delta_on_series(var, f(identities._Blocks(order)))
         assert f(identities._Blocks(order, var)) == expanded
 
