@@ -7,15 +7,19 @@ so results are deterministic for a fixed cutoff.
 
 One entry point, z_eval (zeta_eval is z_eval of one word), sums and
 checks the tail bounds first, so an index whose bound overflows is refused
-before any partial sum is taken. One kernel then takes the distinct
-reversed indices in sorted order; each recomputes only the depths past the
-prefix it shares with the one before, so each distinct suffix
-(k_j, ..., k_d) is computed once, from its parent's buffer. The powers
-n^-k are computed once per distinct part, and each depth writes into one
-reused buffer. Memory is therefore about (max depth + distinct parts + 1)
-arrays of cutoff + 1 floats, whatever the number of indices. Every
-per-index value is the same float as the one-index nested cumulative sum
-gives. The cutoff must be at least 1 and at least the largest depth.
+before any partial sum is taken; so is an input whose partial sums would
+take more than MAX_SUM_TERMS terms, cutoff + 1 for each node of the trie
+of reversed indices. One kernel then walks n = 0..cutoff in blocks of
+BLOCK values. In each block it computes the powers n^-k once per distinct
+part, then walks the trie depth-first, so each distinct suffix
+(k_j, ..., k_d) is summed once, from its parent's values. Two sibling
+nodes share one complex buffer per depth, as its real and imaginary lanes,
+so one complex cumulative sum advances both. Each node carries its last
+sum into slot 0 of the next block, so every per-index value is the same
+float as the one-index, full-length nested cumulative sum gives. Memory is
+about (max depth + distinct parts) arrays of BLOCK values, whatever the
+cutoff and the number of indices. The cutoff must be at least 1 and at
+least the largest depth.
 """
 
 from __future__ import annotations
@@ -32,6 +36,14 @@ class EvalResult:
     value: float
     cutoff: int
     tail_bound: float
+
+
+# values of n summed at a time: a depth's complex buffer of BLOCK + 1
+# entries and the block's powers stay in a core's L2 cache
+BLOCK = 16384
+# z_eval refuses an input whose partial sums would take more than this many
+# terms: cutoff + 1 per node of the trie of reversed indices
+MAX_SUM_TERMS = 10**10
 
 
 def zeta_tail_bound(parts, m: int) -> float:
@@ -55,43 +67,97 @@ def zeta_tail_bound(parts, m: int) -> float:
     return acc
 
 
+def _schedule(indices):
+    """The trie of the reversed indices, as a pre-order list of steps with
+    one step per pair of sibling nodes.
+
+    A step (depth, lane, part_a, part_b) fills the two lanes of the
+    depth's buffer with two siblings; part_b is None for an odd one. Their
+    parent sits in `lane` (0 real, 1 imaginary) of the buffer one depth up,
+    or is the root when `lane` is None. Pre-order keeps a parent's buffer
+    in place until all its descendants are done. Returns the steps, the
+    number of nodes, and index -> (step, lane) of its node."""
+    ids, leaf = {}, {}  # (parent node, part) -> node; the root is node 0
+    for parts in indices:
+        node = 0
+        for k in reversed(parts):
+            node = ids.setdefault((node, k), len(ids) + 1)
+        leaf[parts] = node
+    children = {}
+    for (parent, k), node in sorted(ids.items()):
+        children.setdefault(parent, []).append((k, node))
+
+    def pairs(node, depth, lane):
+        kids = children.get(node, [])
+        return [(depth, lane, kids[i:i + 2]) for i in range(0, len(kids), 2)]
+
+    steps, where = [], {}
+    # an explicit stack, so that depth is not bound by the recursion limit
+    stack = pairs(0, 0, None)[::-1]
+    while stack:
+        depth, lane, pair = stack.pop()
+        for i, (_, node) in enumerate(pair):
+            where[node] = (len(steps), i)
+        steps.append((depth, lane, pair[0][0], pair[1][0] if len(pair) == 2 else None))
+        for i in reversed(range(len(pair))):
+            stack.extend(pairs(pair[i][1], depth + 1, i)[::-1])
+    return steps, len(ids), {parts: where[node] for parts, node in leaf.items()}
+
+
 def _partial_sums(indices, m: int) -> dict:
     """Partial sums over m1 <= m of every index in `indices`, as a dict
-    index -> float: cumulative sums from the innermost part outward, one
-    pass over the sorted reversed indices (cost O(m) per distinct suffix)."""
+    index -> float: cumulative sums from the innermost part outward along
+    the trie of the reversed indices, BLOCK values of n at a time, two
+    sibling nodes per complex cumulative sum (cost O(m) per pair)."""
     # imported here so that commands which never evaluate do not load numpy
     import numpy as np
 
-    suffixes = sorted({parts[::-1] for parts in indices})
-    depth = max(map(len, suffixes), default=0)
+    depth = max(map(len, indices), default=0)
     if m < depth:
         raise ValueError("cutoff smaller than depth")
-    idx = np.arange(m + 1, dtype=np.float64)
-    idx[0] = 1.0  # avoid 0**-k; slot 0 is zeroed below
+    steps, nodes, where = _schedule(indices)
+    if (m + 1) * nodes > MAX_SUM_TERMS:
+        raise ValueError(f"{nodes} nested sums of {m + 1} terms: more than "
+                         f"{MAX_SUM_TERMS} terms in all")
+    if not steps:
+        return {}
+    distinct = {k for parts in indices for k in parts}
+    width = min(BLOCK, m + 1)
+    # slot 0 of a depth's buffer holds its pair's sums up to n = start - 1,
+    # slot 1 + i the sums up to n = start + i
+    bufs = [np.empty(width + 1, dtype=np.complex128) for _ in range(depth)]
+    root = np.ones(width)  # the empty index: 1 at every n
+    carry = [0j] * len(steps)
     powers = {}
-    for k in {k for rev in suffixes for k in rev}:
-        powers[k] = idx ** float(-k)
-        powers[k][0] = 0.0
-    del idx
-    # bufs[d] holds the nested sum of prev[:d + 1], for d < len(prev)
-    bufs = [np.empty(m + 1) for _ in range(depth)]
-    sums = {}
-    prev = ()
-    for rev in suffixes:
-        shared = 0
-        while shared < len(prev) and prev[shared] == rev[shared]:
-            shared += 1
-        for d in range(shared, len(rev)):
-            buf = bufs[d]
-            if d == 0:
-                np.cumsum(powers[rev[0]], out=buf)
+    for start in range(0, m + 1, BLOCK):
+        n = min(BLOCK, m + 1 - start)
+        x = np.arange(start, start + n, dtype=np.float64)
+        if start == 0:
+            x[0] = 1.0  # avoid 0**-k; slot 0 is zeroed below
+        powers.clear()  # free the last block's powers before making these
+        for k in distinct:
+            powers[k] = x ** float(-k)
+        if start == 0:
+            for p in powers.values():
+                p[0] = 0.0
+        for i, (d, lane, ka, kb) in enumerate(steps):
+            buf = bufs[d][:n + 1]
+            if lane is None:
+                up = root[:n]
             else:
-                # inner indices strictly below the current one
-                np.multiply(powers[rev[d]][1:], bufs[d - 1][:-1], out=buf[1:])
-                buf[0] = 0.0
-                np.cumsum(buf, out=buf)
-        sums[rev[::-1]] = float(bufs[len(rev) - 1][-1])
-        prev = rev
+                up = (bufs[d - 1].imag if lane else bufs[d - 1].real)[:n]
+            buf[0] = carry[i]
+            # inner indices strictly below the current one
+            np.multiply(powers[ka], up, out=buf.real[1:])
+            if kb is None:
+                buf.imag[1:] = 0.0
+            else:
+                np.multiply(powers[kb], up, out=buf.imag[1:])
+            np.cumsum(buf, out=buf)
+            carry[i] = buf[n]
+    sums = {}
+    for parts, (i, lane) in where.items():
+        sums[parts] = float(carry[i].imag if lane else carry[i].real)
     return sums
 
 

@@ -291,7 +291,8 @@ def _write(tmp_path, text):
 
 
 # Inputs too deep for a finite tail bound or for the recursion limit, whose
-# derive output could not fit in memory, or whose word ends in a newline.
+# partial sums would take more than numeric.MAX_SUM_TERMS terms, whose derive
+# output could not fit in memory, or whose word ends in a newline.
 HOSTILE = {
     "eval-depth172": lambda tmp: ["eval", _deep_index(172), "--cutoff", "1000"],
     "eval-depth400": lambda tmp: ["eval", _deep_index(400), "--cutoff", "500"],
@@ -299,6 +300,14 @@ HOSTILE = {
     "residual-depth400": lambda tmp: [
         "residual", _write(tmp, json.dumps(NcPoly.word("x" + "y" * 400).to_dict())),
         "--cutoff", "500",
+    ],
+    "eval-cutoff-1e12": lambda tmp: ["eval", "(2)", "--cutoff", "1000000000000"],
+    "eval-cutoff-1e10": lambda tmp: ["eval", "(2)", "--cutoff", "10000000000"],
+    # (2), (2,1), ..., (2,1,...,1) of depth 11: 21 trie nodes of 10^9 + 1 terms
+    "residual-past-work-bound": lambda tmp: [
+        "residual",
+        _write(tmp, json.dumps(NcPoly({"x" + "y" * j: 1 for j in range(1, 12)}).to_dict())),
+        "--cutoff", "1000000000",
     ],
     "residual-nested-json": lambda tmp: [
         "residual", _write(tmp, "[" * 100000 + "]" * 100000), "--cutoff", "100",

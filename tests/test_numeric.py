@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ def brute_zeta(parts, m):
 
 
 def nested_cumsum(parts, m):
-    """One index at a time: fresh powers and cumulative sums from the
-    innermost part outward. The independent oracle of the sorted-suffix
-    kernel, which must give the same float for every index."""
+    """One index at a time: fresh powers and full-length cumulative sums
+    from the innermost part outward. The independent oracle of the blocked
+    trie kernel, which must give the same float for every index."""
     idx = np.arange(m + 1, dtype=np.float64)
     idx[0] = 1.0  # avoid 0**-k; slot 0 is zeroed below
     f = idx ** float(-parts[-1])
@@ -66,6 +67,14 @@ def random_combination(rng, n_words, constant):
     return NcPoly(terms)
 
 
+# shared suffixes (.., 1, 1) and (.., 2, 1), and repeated parts
+SHARED_SUFFIXES = NcPoly(
+    {"xyyy": 1, "xxyyy": 1, "xyxyyy": 1, "xxyxyy": -1, "xyxyxy": 5, "xxyxxy": 1}
+)
+# depth 1200 and indices on its path through the trie of reversed indices
+DEEP = [(2,) + (1,) * 1199, (2,) + (1,) * 1198, (3, 1), (2, 1), (2, 2, 1)]
+
+
 def _combinations():
     rng = random.Random(20170611)
     cases = [
@@ -76,11 +85,7 @@ def _combinations():
         pytest.param(NcPoly.word("xy"), id="depth1-word"),
         pytest.param(NcPoly.word("xxyxyxyy", -3), id="deep-word"),
         pytest.param(NcPoly({"": 2, "xy": 1, "xxy": -3}), id="constant-and-depth1"),
-        # shared suffixes (.., 1, 1) and (.., 2, 1), and repeated parts
-        pytest.param(
-            NcPoly({"xyyy": 1, "xxyyy": 1, "xyxyyy": 1, "xxyxyy": -1, "xyxyxy": 5, "xxyxxy": 1}),
-            id="shared-suffixes",
-        ),
+        pytest.param(SHARED_SUFFIXES, id="shared-suffixes"),
     ]
 
 
@@ -115,11 +120,52 @@ class TestSuffixTrieKernel:
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_kernel_is_flat_at_any_depth(self):
-        # depth 1200 is past the recursion limit; the shallow indices share
-        # the deep ones' buffers in the sorted pass
-        indices = [(2,) + (1,) * 1199, (2,) + (1,) * 1198, (3, 1), (2, 1), (2, 2, 1)]
-        sums = numeric._partial_sums(indices, 1300)
-        assert sums == {parts: nested_cumsum(parts, 1300) for parts in indices}
+        # depth 1200 is past the recursion limit; the shallow indices are
+        # nodes on the deep ones' path through the trie
+        sums = numeric._partial_sums(DEEP, 1300)
+        assert sums == {parts: nested_cumsum(parts, 1300) for parts in DEEP}
+
+    @pytest.mark.parametrize("block", [64, 100])
+    @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 5000])
+    @pytest.mark.parametrize("p", _combinations())
+    def test_block_boundaries_are_exact(self, monkeypatch, block, m, p):
+        # the last sum of each block carries into slot 0 of the next
+        monkeypatch.setattr(numeric, "BLOCK", block)
+        indices = [word_to_index(w) for w in p.terms if w]
+        sums = numeric._partial_sums(indices, m)
+        assert sums == {parts: nested_cumsum(parts, m) for parts in indices}
+
+    @pytest.mark.parametrize("block", [64, 100])
+    @pytest.mark.parametrize("m", [1300, 5000])
+    def test_block_boundaries_are_exact_at_depth(self, monkeypatch, block, m):
+        monkeypatch.setattr(numeric, "BLOCK", block)
+        sums = numeric._partial_sums(DEEP, m)
+        assert sums == {parts: nested_cumsum(parts, m) for parts in DEEP}
+
+    def test_schedule_pairs_siblings_in_pre_order(self):
+        # reversed: (1,1,2) (1,1,3) (1,1,2,2) (1,2,3) (2,2,2) (3,3); the root
+        # has three children and five nodes have one, so six steps leave
+        # their second lane empty; each step's parent is in the lane named
+        indices = [word_to_index(w) for w in SHARED_SUFFIXES.terms]
+        steps, nodes, where = numeric._schedule(indices)
+        assert steps == [
+            (0, None, 1, 2), (1, 0, 1, 2), (2, 0, 2, 3), (3, 0, 2, None),
+            (2, 1, 3, None), (1, 1, 2, None), (2, 0, 2, None),
+            (0, None, 3, None), (1, 0, 3, None),
+        ]
+        # twelve nodes; (2,2,1,1) ends in lane 0 of step 3, (3,1,1) in lane 1
+        # of step 2
+        assert nodes == 12 and set(where) == set(indices)
+        assert where[(2, 2, 1, 1)] == (3, 0) and where[(3, 1, 1)] == (2, 1)
+
+    def test_memory_is_flat_in_the_cutoff(self):
+        tracemalloc.start()
+        try:
+            numeric._partial_sums([(2, 1, 1)], 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
 
 class TestZetaEval:
@@ -188,6 +234,10 @@ class TestZEval:
         assert r.value == 1.0
         assert r.tail_bound == 0.0
 
+    def test_a_constant_sums_no_block_at_any_cutoff(self):
+        # no trie node, so no work however large the cutoff
+        assert z_eval(NcPoly.one().scale(3), 10**12).value == 3.0
+
     def test_derivation_relation_residual(self):
         r = z_eval(derivation(1, NcPoly.word("xy")), 10 ** 6)
         assert abs(r.value) < 1e-4
@@ -230,6 +280,18 @@ class TestZEval:
         monkeypatch.setattr(numeric, "_partial_sums", kernel)
         with pytest.raises(ValueError, match="tail bound overflows"):
             z_eval(NcPoly.word("x" + "y" * 400), 500)
+
+    def test_bounds_the_work_before_any_partial_sum(self, monkeypatch):
+        # (2,1,1) is three trie nodes of m + 1 terms each
+        monkeypatch.setattr(numeric, "MAX_SUM_TERMS", 3 * 1001)
+        assert zeta_eval((2, 1, 1), 1000).value == nested_cumsum((2, 1, 1), 1000)
+
+        def cumsum(*args, **kwargs):
+            raise AssertionError("partial sums taken before the work bound check")
+
+        monkeypatch.setattr(np, "cumsum", cumsum)
+        with pytest.raises(ValueError, match="more than 3003 terms"):
+            zeta_eval((2, 1, 1), 1001)
 
     def test_rejects_cutoff_below_depth(self):
         with pytest.raises(ValueError, match="smaller than depth"):
