@@ -27,8 +27,8 @@ from .series import delta_subst
 
 DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
-# derive refuses an input whose output could exceed this many letters
-MAX_DERIVE_LETTERS = 10**8
+# derive and delta refuse an input whose output could exceed this many letters
+MAX_OUTPUT_LETTERS = 10**8
 
 Result = tuple[int, object, str | None]
 
@@ -96,15 +96,28 @@ def cmd_derive(args) -> Result:
     # d_n writes up to 2^(n-1) words of len(word) + n letters per letter (its
     # generator alone is 2^(n-1) words of n + 1 letters); n > 27 exceeds the
     # bound for any word, so 2**(n-1) is never computed for a huge n
-    if n > 27 or size * 2 ** (n - 1) * (size + n) > MAX_DERIVE_LETTERS:
+    if n > 27 or size * 2 ** (n - 1) * (size + n) > MAX_OUTPUT_LETTERS:
         raise ValueError(f"d_{n} on a length-{len(word)} word may exceed "
-                         f"{MAX_DERIVE_LETTERS} letters")
+                         f"{MAX_OUTPUT_LETTERS} letters")
     return 0, derivation(n, NcPoly.word(word)).to_dict(), None
 
 
 def cmd_delta(args) -> Result:
     word = _parse_word_or_index(args.word)
-    return 0, delta_subst(args.var, NcPoly.word(word), args.order).to_dict(), None
+    n, size = args.order, max(len(word), 1)
+    # Delta_t maps a word to at most C(n + size, size) words, one per split of
+    # a degree j <= n over its letters, of at most n + size letters each.
+    # letters = C(n + size, i) * (n + size) grows with i <= min(n, size) and
+    # stops once past the bound, so a huge n or word makes no huge integer
+    letters = n + size
+    for i in range(1, min(n, size) + 1):
+        if letters > MAX_OUTPUT_LETTERS:
+            break
+        letters = letters * (n + size + 1 - i) // i
+    if letters > MAX_OUTPUT_LETTERS:
+        raise ValueError(f"Delta_{args.var} to order {n} of a length-{len(word)} "
+                         f"word may exceed {MAX_OUTPUT_LETTERS} letters")
+    return 0, delta_subst(args.var, NcPoly.word(word), n).to_dict(), None
 
 
 def _eval_result(r: numeric.EvalResult) -> Result:

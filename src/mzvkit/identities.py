@@ -5,6 +5,7 @@ lemmas."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .ncpoly import NcPoly, X, Y
 from .series import (
@@ -46,31 +47,21 @@ def compare_series(name: str, lhs: Series3, rhs: Series3) -> IdentityReport:
 
 # -- the sums and their generating function ---------------------------
 
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts < 0:
-        raise ValueError(f"parts must be >= 0, got {parts}")
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def sum_word(k: int, m: int, l: int) -> NcPoly:
-    """Sum of x^m y x^(a1) y ... x^(a_{l-1}) y over compositions
-    a1+...+a_{l-1} = k-m-l; the word-side sum at fixed weight k,
-    depth l and leading exponent m."""
+    """The word-side sum at fixed weight k, depth l and leading exponent m:
+    x^m y followed by every word of k-m-1 letters with l-1 letters y, the
+    last at the end, i.e. y at places m, k-1 and l-2 of those between."""
     if m < 1 or l < 1:
         raise ValueError(f"m and l must be at least 1, got m={m}, l={l}")
     if k < m + l:
         raise ValueError("empty index range: need k >= m + l")
-    words = []
-    for comp in compositions(k - m - l, l - 1):
-        words.append(X * m + Y + "".join(X * a + Y for a in comp))
-    return NcPoly((w, 1) for w in words)
+    if l == 1:  # x^m y alone, a word of weight k only when k = m + 1
+        return NcPoly({X * m + Y: 1} if k == m + 1 else {})
+    terms = {}
+    for inner in combinations(range(m + 1, k - 1), l - 2):
+        ys = {m, *inner, k - 1}
+        terms["".join(Y if i in ys else X for i in range(k))] = 1
+    return NcPoly(terms)
 
 
 # -- series building blocks -------------------------------------------
@@ -242,7 +233,9 @@ def verify_proof_steps(order: int) -> list[IdentityReport]:
 
 def lemma2_swapped_control(order: int) -> IdentityReport:
     """Negative control: lemma 2 with the two noncommuting factors permuted.
-    Expected to FAIL."""
+    Expected to FAIL; below order 2 the factors agree, so it is refused."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
     b = _Blocks(order)
     return compare_series(
         "lemma-2 swapped factors (negative control)",

@@ -211,23 +211,15 @@ class NcPoly:
             return "0"
         parts = []
         for w, c in self.items():
-            mono = w if w else "1"
-            if c == 1 and w:
-                piece = mono
-            elif c == -1 and w:
-                piece = "-" + mono
-            elif w:
-                piece = f"{c}*{mono}"
+            if not w:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(w)
+            elif c == -1:
+                parts.append("-" + w)
             else:
-                piece = str(c)
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+                parts.append(f"{c}*{w}")
+        return " + ".join(parts).replace(" + -", " - ")
 
     def to_dict(self) -> dict:
         return {

@@ -124,9 +124,6 @@ class Series3:
             for layer in self._layers
         ])
 
-    def truncate(self, order: int) -> "Series3":
-        return Series3(order, (kv for layer in self._layers for kv in layer.items()))
-
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -184,7 +181,6 @@ def _axis_mono(var: str, m: int) -> tuple:
     return tuple(mono)
 
 
-@lru_cache(maxsize=None)
 def _delta_letter(var: str, letter: str, order: int) -> Series3:
     # Delta(x) = x/(1-yt) = sum_m x y^m t^m
     # Delta(y) = (1-xt-yt) y/(1-yt) = y - sum_{m>=1} x y^m t^m

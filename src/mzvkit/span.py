@@ -117,7 +117,7 @@ class SpanSolver:
         self.basis = span_basis(k) if k >= 2 else SpanBasis(k, [])
         self.pivots: dict[str, dict[str | int, int]] = {}
         for j, gen in enumerate(self.basis.generators):
-            row = _cleared(gen.image)[1]
+            row = gen.image.terms  # a fresh dict; images have int coefficients
             row[j] = 1
             self._reduce(row, j)
             words = [key for key in row if type(key) is str]

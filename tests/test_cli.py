@@ -76,6 +76,12 @@ class TestDelta:
         words = {(t["u"], t["v"], t["w"]): t["poly"]["terms"][0]["word"] for t in data["terms"]}
         assert words == {(0, 0, 0): "x", (1, 0, 0): "xy", (2, 0, 0): "xyy"}
 
+    def test_order_below_the_output_bound_runs(self, capsys):
+        # 2001 words, about 4.0e6 letters by the bound (n + 1)^2
+        code, out, err = run(capsys, "delta", "--var", "u", "--order", "2000", "x")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["terms"]) == 2001
+
     def test_500_letter_word_runs(self, capsys):
         # The linear term of Delta_u = exp(sum_n d_n u^n / n) is d_1.
         word = "xy" * 250
@@ -113,6 +119,21 @@ class TestVerifyTheorem:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("eq, order", [("3", "0"), ("lemmas", "1")])
+    def test_order_below_the_identity_minimum_is_usage_error(self, capsys, eq, order):
+        code, out, err = run(capsys, "verify", "theorem", "--order", order, "--eq", eq)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: order must be >= ") and err.count("\n") == 1
+
+    def test_failure_prints_its_first_failing_monomial(self, capsys, monkeypatch):
+        import mzvkit.identities as identities_mod
+
+        report = identities_mod.IdentityReport("duality-zeta", 3, False, (1, 0, 0), "-xy")
+        monkeypatch.setattr(identities_mod, "verify_duality_zeta", lambda order: report)
+        code, out, err = run(capsys, "verify", "theorem", "--order", "3", "--eq", "2")
+        assert (code, err) == (1, "")
+        assert out == "FAIL  duality-zeta (order 3)  first failure at (1, 0, 0): -xy\n"
 
 
 class TestVerifyCorollary:
@@ -292,7 +313,7 @@ def _write(tmp_path, text):
 
 # Inputs too deep for a finite tail bound or for the recursion limit, whose
 # partial sums would take more than numeric.MAX_SUM_TERMS terms, whose derive
-# output could not fit in memory, or whose word ends in a newline.
+# or delta output could not fit in memory, or whose word ends in a newline.
 HOSTILE = {
     "eval-depth172": lambda tmp: ["eval", _deep_index(172), "--cutoff", "1000"],
     "eval-depth400": lambda tmp: ["eval", _deep_index(400), "--cutoff", "500"],
@@ -318,6 +339,11 @@ HOSTILE = {
     "derive-empty-word": lambda tmp: ["derive", "26", ""],
     "derive-trailing-newline": lambda tmp: ["derive", "1", "xy\n"],
     "delta-trailing-newline": lambda tmp: ["delta", "--var", "u", "--order", "1", "xy\n"],
+    # (n + 1)^2 = 4.0e8, C(2002, 2) * 2002 = 4.0e9 and C(304, 4) * 304 = 1.1e11
+    # letters, all past the bound of 1e8
+    "delta-order-20000-x": lambda tmp: ["delta", "--var", "u", "--order", "20000", "x"],
+    "delta-order-2000-xy": lambda tmp: ["delta", "--var", "u", "--order", "2000", "xy"],
+    "delta-order-300-xyxy": lambda tmp: ["delta", "--var", "u", "--order", "300", "xyxy"],
     "residual-trailing-newline": lambda tmp: [
         "residual", _write(tmp, json.dumps({"terms": [{"word": "xy\n", "coeff": "1"}]})),
         "--cutoff", "100",

@@ -1,11 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from mzvkit.identities import (
     IdentityReport,
     compare_series,
-    compositions,
     conjecture_lhs_series,
     conjecture_lhs_split_form,
     duality_gf,
@@ -60,15 +60,14 @@ class TestSumWord:
                         assert w.count("y") == l
                         assert w[0] == "x" and w[-1] == "y"
 
-    def test_composition_count(self):
-        assert len(list(compositions(3, 2))) == 4
-        assert list(compositions(0, 0)) == [()]
-        assert list(compositions(2, 0)) == []
-
-    @pytest.mark.parametrize("total, parts", [(3, -1), (0, -1), (2, -5)])
-    def test_compositions_reject_negative_parts(self, total, parts):
-        with pytest.raises(ValueError):
-            list(compositions(total, parts))
+    def test_word_count_is_the_composition_count(self):
+        # a1 + ... + a_(l-1) = k-m-l in nonnegative parts: C(k-m-2, l-2)
+        # choices for l >= 2, one (the empty tuple) for l = 1 when k = m + 1
+        for k in range(2, 12):
+            for m in range(1, k):
+                for l in range(1, k - m + 1):
+                    expected = comb(k - m - 2, l - 2) if l >= 2 else int(k == m + 1)
+                    assert len(sum_word(k, m, l)) == expected
 
     @pytest.mark.parametrize(
         "k, m, l", [(5, 2, 0), (5, 0, 2), (5, -1, 2), (0, 1, 1), (4, 2, 3)]
@@ -165,7 +164,7 @@ class TestDualityK1:
         from mzvkit.series import divide_by_v_minus_w
 
         order = 5
-        lhs = duality_k1_lhs(order).truncate(order - 1)
+        lhs = Series3(order - 1, duality_k1_lhs(order).items())
         numerator, rest = _rhs_duality_k1_parts(order)
         rhs = divide_by_v_minus_w(numerator) + rest
         for var in ("u", "v"):
@@ -185,8 +184,8 @@ class TestDualityK1:
 
         full = _inner2(_Blocks(order)) - _inner2(_Blocks(order, "u"))
         _, rest = _rhs_duality_k1_parts(order)
-        assert rest == full.truncate(order - 1)
-        assert duality_k1_lhs(order - 1) == duality_k1_lhs(order).truncate(order - 1)
+        assert rest == Series3(order - 1, full.items())
+        assert duality_k1_lhs(order - 1) == Series3(order - 1, duality_k1_lhs(order).items())
 
     def test_coefficients_stay_int(self):
         # the k1 series is integral, so no coefficient falls back to Fraction
@@ -257,6 +256,12 @@ class TestProofSteps:
 
     def test_negative_control_fails(self):
         assert not lemma2_swapped_control(6).passed
+
+    @pytest.mark.parametrize("order", [1, 0, -1])
+    def test_negative_control_refuses_a_vacuous_order(self, order):
+        # below order 2 the swapped factors agree, so the control cannot fail
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            lemma2_swapped_control(order)
 
 
 class TestFailureLocalization:
