@@ -82,7 +82,10 @@ def cmd_verify_corollary(args) -> Result:
         {"k": k, "m": m, "l": l, "certificate": cert.to_dict()}
         for m, l, cert in cases
     ]
-    return 0, certs, f"PASS  corollary at weight {k}: {len(cases)} case(s) certified"
+    # a target of 0 is certified by the empty combination and proves nothing
+    zeros = sum(cert.target.is_zero() for _, _, cert in cases)
+    return 0, certs, (f"PASS  corollary at weight {k}: {len(cases)} case(s) certified, "
+                      f"{zeros} of them with target 0")
 
 
 def cmd_dual(args) -> Result:

@@ -114,9 +114,17 @@ class Series3:
         if not isinstance(other, Series3):
             return NotImplemented
         left, right = self._layers, other._layers
-        return Series3._of([
-            _degree_layer(left, right, d) for d in range(min(len(left), len(right)))
-        ])
+        n = min(len(left), len(right))
+        # js[d]: ascending, the j with left[j] and right[d-j] both nonempty
+        js: list[list[int]] = [[] for _ in range(n)]
+        rights = [i for i in range(n) if right[i]]
+        for j in range(n):
+            if left[j]:
+                for i in rights:
+                    if i + j >= n:
+                        break
+                    js[i + j].append(j)
+        return Series3._of([_degree_layer(left, right, d, js[d]) for d in range(n)])
 
     def scale(self, c) -> "Series3":
         return Series3._of([
@@ -140,16 +148,17 @@ class Series3:
         return f"Series3(order={self.order}, {{{inner}}})"
 
 
-def _degree_layer(left: list, right: list, d: int, start: int = 0) -> dict:
-    """Layer d of a product: the sum over j = start..d of left[j] * right[d-j].
+def _degree_layer(left: list, right: list, d: int, js: list[int]) -> dict:
+    """Layer d of a product: the sum over j in js of left[j] * right[d-j].
 
-    The one product kernel under Series3.__mul__ and geometric_inverse. Each
-    output monomial keeps one {word: coeff} dict, into which every pair of
-    factor terms is summed in place; the nonempty dicts become NcPolys at
-    the end.
+    The one product kernel under Series3.__mul__ and geometric_inverse; its
+    callers pass only the j at which both layers are nonempty, so a sparse
+    factor costs no visits to empty layers. Each output monomial keeps one
+    {word: coeff} dict, into which every pair of factor terms is summed in
+    place; the nonempty dicts become NcPolys at the end.
     """
     acc: dict[tuple, dict] = {}
-    for j in range(start, d + 1):
+    for j in js:
         pairs = right[d - j].items()
         for (a1, b1, c1), p in left[j].items():
             for (a2, b2, c2), q in pairs:
@@ -167,9 +176,10 @@ def geometric_inverse(f: Series3) -> Series3:
     if f.coeff((0, 0, 0)) != NcPoly.one():
         raise ValueError("not invertible at this truncation: constant term != 1")
     e = (-f)._layers
+    es = [j for j in range(1, len(e)) if e[j]]
     g = [{(0, 0, 0): NcPoly.one()}]
     for d in range(1, len(e)):
-        g.append(_degree_layer(e, g, d, start=1))
+        g.append(_degree_layer(e, g, d, [j for j in es if j <= d and g[d - j]]))
     return Series3._of(g)
 
 
@@ -194,8 +204,10 @@ def _delta_letter(var: str, letter: str, order: int) -> Series3:
 
 @lru_cache(maxsize=None)
 def _delta_word(var: str, word: str, order: int) -> Series3:
-    out = Series3.scalar(1, order)
-    for letter in word:
+    if not word:
+        return Series3.scalar(1, order)
+    out = _delta_letter(var, word[0], order)
+    for letter in word[1:]:
         out = out * _delta_letter(var, letter, order)
     return out
 

@@ -142,6 +142,14 @@ class TestVerifyCorollary:
         assert code == 0
         assert "3 case(s)" in out
 
+    def test_zero_targets_counted(self, capsys):
+        # (1 - tau) of the self-dual sum_word(10, 5, 5) is 0
+        code, out, _ = run(
+            capsys, "verify", "corollary", "--weight", "10", "--m", "5", "--l", "5"
+        )
+        assert code == 0
+        assert out == "PASS  corollary at weight 10: 1 case(s) certified, 1 of them with target 0\n"
+
     def test_single_case_with_certificates(self, capsys, tmp_path):
         path = tmp_path / "certs.json"
         code, _, _ = run(
@@ -161,11 +169,13 @@ class TestVerifyCorollary:
             ("8", "fd6e0da1f09a14875943242546245e001e0ae2debe49e22b9eb429986213db19"),
             ("10", "c2ab8a33b3d326ea5d6f04129d2f7b8ec5e893d1b0b7f116d45c2fda57cce215"),
             ("11", "c26036df035f23de7757bfec45806dd083c300f2a2b121754cb789a506d460ca"),
+            ("12", "787b460546fc70a5e5eb1cc20aec8a8c534a9ae07aa6aa70495739c4769f1ea9"),
         ],
-        ids=["8", "10", "11"],
+        ids=["8", "10", "11", "12"],
     )
     def test_certificates_pinned(self, capsys, tmp_path, weight, digest):
-        # sha256 of the certificate file as the rational solver wrote it;
+        # sha256 of the certificate file as an earlier solver wrote it (the
+        # rational one up to weight 11, the least-word integer one at 12);
         # pins the bytes across solver rewrites
         path = tmp_path / "certs.json"
         code, _, _ = run(
@@ -418,7 +428,7 @@ class TestPinnedOutput:
             (("verify", "theorem"),
              "68613b68527dfc0195854efc1e4dfff9326a90c0bd3e7054c5b3f88c29cc83cd"),
             (("verify", "corollary", "--weight", "8"),
-             "69ac35d2997fcbad00bd393b49982b2f42197753941d3b629768dccb87c72688"),
+             "7e1bafd421df43a2f3bfc4dce14c85b4e6a8765f72aa31ffae198be4c7f5d036"),
             (("--format", "json", "verify", "theorem"),
              "183ad94840b88053c73fd78081e743035c6d3e08136ab2c2f94c6eb9c159988a"),
             (("--format", "json", "dual", "(3,1,2)"),

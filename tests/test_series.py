@@ -221,6 +221,13 @@ class TestDeltaSubst:
         assert s.coeff((1, 0, 0)) == P("xy", -1)
         assert s.coeff((2, 0, 0)) == P("xyy", -1)
 
+    def test_on_x_closed_form_at_high_order(self):
+        # Delta_t(x) = sum_m x y^m t^m, term by term
+        n = 3000
+        assert delta_subst("u", P("x"), n) == Series3(
+            n, {(m, 0, 0): P("x" + "y" * m) for m in range(n + 1)}
+        )
+
     def test_fixes_x_plus_y(self):
         for var in "uvw":
             for n in (1, 5, 12):

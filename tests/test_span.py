@@ -62,33 +62,37 @@ def oracle_member(target, k):
     return _dense_rank(cols, k) == _dense_rank(cols + [_vec(target, k)], k)
 
 
-# -- independent oracle: rational elimination, same pivot rule ---------
+# -- independent oracle: rational elimination, either pivot rule -------
 
 class _FractionSolver:
-    """Gaussian elimination over Fraction with unit pivots: the solver's
-    pivot rule in rational arithmetic, kept as a differential oracle."""
+    """Gaussian elimination over Fraction with unit pivots, kept as a
+    differential oracle. lead picks the word a column pivots at: max is the
+    solver's rule, min the least-word rule it replaced. Pivots are cleared
+    in creation order, as the solver does."""
 
-    def __init__(self, k):
+    def __init__(self, k, lead=max):
         self.basis = span_basis(k)
         # pivot row -> (column vector, combination over generator indices)
         self.pivots = {}
+        # the generator index of each pivot, in creation order
+        self.independent = []
         for j, gen in enumerate(self.basis.generators):
             vec = {w: Fraction(c) for w, c in gen.image.terms.items()}
             combo = {j: Fraction(1)}
             self._reduce(vec, combo)
             if vec:
-                row = min(vec)
-                lead = vec[row]
-                vec = {r: c / lead for r, c in vec.items()}
-                combo = {i: c / lead for i, c in combo.items()}
+                row = lead(vec)
+                scale = vec[row]
+                vec = {r: c / scale for r, c in vec.items()}
+                combo = {i: c / scale for i, c in combo.items()}
                 self.pivots[row] = (vec, combo)
+                self.independent.append(j)
 
     def _reduce(self, vec, combo):
-        for row in sorted(self.pivots):
+        for row, (pvec, pcombo) in self.pivots.items():
             c = vec.get(row)
             if not c:
                 continue
-            pvec, pcombo = self.pivots[row]
             neg = -c
             accumulate(vec, ((r, neg * pc) for r, pc in pvec.items()))
             accumulate(combo, ((i, neg * pc) for i, pc in pcombo.items()))
@@ -210,7 +214,7 @@ class TestAugmentedRows:
         for word, row in solver.pivots.items():
             words = {key: c for key, c in row.items() if isinstance(key, str)}
             combo = {key: c for key, c in row.items() if isinstance(key, int)}
-            assert min(words) == word
+            assert max(words) == word
             assert row[word] > 0
             expected = NcPoly.zero()
             for i, c in combo.items():
@@ -273,6 +277,53 @@ class TestFractionOracle:
                     members += 1
                     assert cert.verify()
         assert members >= 40 and nonmembers >= 20
+
+
+class TestPivotRule:
+    """Generator j pivots exactly when its image is independent of those of
+    generators 0..j-1, whatever word a column pivots at; so the least-word
+    and largest-word rules give the same certificates."""
+
+    @staticmethod
+    def _greedy(k):
+        """Indices of the generators independent of all before them, by
+        the dense rank oracle."""
+        cols = [_vec(g.image, k) for g in span_basis(k).generators]
+        chosen = []
+        for j, col in enumerate(cols):
+            if _dense_rank([cols[i] for i in chosen] + [col], k) > len(chosen):
+                chosen.append(j)
+        return chosen
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_min_and_max_leads_agree(self, k):
+        least, largest = _FractionSolver(k, lead=min), _FractionSolver(k, lead=max)
+        assert least.independent == largest.independent == self._greedy(k)
+        # a pivot row's generator is its largest int key: the others are
+        # those of earlier pivots
+        solver = SpanSolver(k)
+        assert [
+            max(key for key in row if isinstance(key, int)) for row in solver.pivots.values()
+        ] == largest.independent
+        rng = random.Random(5003 + k)
+        gens = span_basis(k).generators
+        targets = [duality_target(k, m, l) for m in range(1, k) for l in range(1, k - m + 1)]
+        for _ in range(10):
+            a, b = rng.choices(gens, k=2)
+            targets.append(
+                a.image.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+                + b.image.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+            )
+            words = ["".join(rng.choice("xy") for _ in range(k)) for _ in range(4)]
+            targets.append(
+                NcPoly((w, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for w in words)
+            )
+        members = 0
+        for t in targets:
+            combination = least.combination(t)
+            assert combination == largest.combination(t), t.render()
+            members += combination is not None
+        assert k * (k - 1) // 2 < members < len(targets)
 
 
 # -- corollary ---------------------------------------------------------
