@@ -4,6 +4,9 @@ Each handler returns ``(code, payload, text)`` and prints nothing; ``text`` is
 ``None`` for commands that always print JSON. ``main`` alone serializes the
 payload, writes the ``--certificates``/``--dump`` file and prints.
 
+Each handler imports the library layers it runs, so a command loads only
+those; importing this module loads none of them.
+
 Exit status: 0 when all requested checks pass, 1 on a verification failure,
 2 on usage errors.
 """
@@ -14,20 +17,10 @@ import argparse
 import json
 import sys
 
-from . import identities, numeric, span
-from .maps import (
-    derivation,
-    dual_index,
-    index_from_str,
-    index_to_str,
-    index_to_word,
-)
-from .ncpoly import NcPoly, check_word
-from .series import delta_subst
-
 DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
-# derive and delta refuse an input whose output could exceed this many letters
+# an index of larger weight, and a derive or delta output that could be
+# longer, is refused before any word is built
 MAX_OUTPUT_LETTERS = 10**8
 
 Result = tuple[int, object, str | None]
@@ -39,19 +32,92 @@ def _order(args, fallback: int) -> int:
     return fallback if args.order is None else args.order
 
 
+def _index(text: str) -> tuple[int, ...]:
+    """Parse an index '(k1,...,kd)' whose word, of k1 + ... + kd letters,
+    stays within MAX_OUTPUT_LETTERS."""
+    from .maps import index_from_str
+
+    parts = index_from_str(text)
+    if sum(parts) > MAX_OUTPUT_LETTERS:
+        raise ValueError(f"index of weight {sum(parts)} exceeds the bound of "
+                         f"{MAX_OUTPUT_LETTERS} letters")
+    return parts
+
+
 def _parse_word_or_index(text: str) -> str:
+    from .maps import index_to_word
+    from .ncpoly import check_word
+
     if text.startswith("("):
-        return index_to_word(index_from_str(text))
+        return index_to_word(_index(text))
     return check_word(text)
 
 
+# One-line encoding whose item separators are ",\x00". JSON escapes every
+# control character inside a string, so each "\x00" is a separator.
+_encode = json.JSONEncoder(separators=(",\x00", ": ")).encode
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2)
+    """json.dumps(obj, indent=2), byte for byte. Each container is encoded
+    by one call of the C encoder, with 0 in place of each nested container,
+    and then indented; a list of nonempty dicts of scalars, by one call in
+    all."""
+    out: list[str] = []
+    _write(obj, "", out)
+    return "".join(out)
+
+
+def _scalars(values) -> list:
+    """values with 0 in place of each one that is not a scalar."""
+    return [v if type(v) in _SCALARS else 0 for v in values]
+
+
+def _write(obj, ind: str, out: list[str]):
+    """Append the pieces of obj's encoding, indented from ind, to out."""
+    if isinstance(obj, dict):
+        _spread(_encode(dict(zip(obj, _scalars(obj.values())))), obj.values(), ind, out)
+    elif not isinstance(obj, (list, tuple)):
+        out.append(_encode(obj))
+    elif obj and all(type(d) is dict and d and all(type(v) in _SCALARS for v in d.values())
+                     for d in obj):
+        # Once each "\x00" is a newline and indent, "},\n" + deep + "{"
+        # occurs only between two of the dicts: no scalar ends in "}".
+        # Each replace looks for a rare first letter, so it skips fast.
+        inner, deep = ind + "  ", ind + "    "
+        body = _encode(obj)[2:-2].replace("\x00", "\n" + deep)
+        body = body.replace(f"}},\n{deep}{{", f"\n{inner}}},\n{inner}{{\n{deep}")
+        out += ("[\n", inner, "{\n", deep, body, "\n", inner, "}\n", ind, "]")
+    else:
+        _spread(_encode(_scalars(obj)), obj, ind, out)
+
+
+def _spread(line: str, values, ind: str, out: list[str]):
+    """Append the one-line encoding of a container, whose values are given,
+    indented from ind; a nested value, held by a 0 in line, is written in
+    its place."""
+    if len(line) == 2:  # empty
+        out.append(line)
+        return
+    inner = ind + "  "
+    out += (line[0], "\n", inner)
+    for i, (item, v) in enumerate(zip(line[1:-1].split(",\x00"), values)):
+        if i:
+            out += (",\n", inner)
+        if type(v) in _SCALARS:
+            out.append(item)
+        else:  # item ends in the 0 that held v's place
+            out.append(item[:-1])
+            _write(v, inner, out)
+    out += ("\n", ind, line[-1])
 
 
 # -- subcommand handlers ----------------------------------------------
 
 def cmd_verify_theorem(args) -> Result:
+    from . import identities
+
     reports = []
     if args.eq in ("2", "all"):
         reports.append(identities.verify_duality_zeta(_order(args, DEFAULT_ORDER_EQ2)))
@@ -71,6 +137,8 @@ def cmd_verify_theorem(args) -> Result:
 
 
 def cmd_verify_corollary(args) -> Result:
+    from . import span
+
     k = args.weight
     if args.m is None and args.l is None:
         cases = span.corollary_check_all(k)
@@ -89,11 +157,16 @@ def cmd_verify_corollary(args) -> Result:
 
 
 def cmd_dual(args) -> Result:
-    d = index_to_str(dual_index(index_from_str(args.index)))
+    from .maps import dual_index, index_to_str
+
+    d = index_to_str(dual_index(_index(args.index)))
     return 0, {"dual": d}, d
 
 
 def cmd_derive(args) -> Result:
+    from .maps import derivation
+    from .ncpoly import NcPoly
+
     word = _parse_word_or_index(args.arg)
     n, size = args.n, max(len(word), 1)
     # d_n writes up to 2^(n-1) words of len(word) + n letters per letter (its
@@ -106,6 +179,9 @@ def cmd_derive(args) -> Result:
 
 
 def cmd_delta(args) -> Result:
+    from .ncpoly import NcPoly
+    from .series import delta_subst
+
     word = _parse_word_or_index(args.word)
     n, size = args.order, max(len(word), 1)
     # Delta_t maps a word to at most C(n + size, size) words, one per split of
@@ -123,23 +199,30 @@ def cmd_delta(args) -> Result:
     return 0, delta_subst(args.var, NcPoly.word(word), n).to_dict(), None
 
 
-def _eval_result(r: numeric.EvalResult) -> Result:
+def _eval_result(r) -> Result:
     payload = {"value": f"{r.value:.12f}", "cutoff": r.cutoff, "tail_bound": f"{r.tail_bound:.12f}"}
     return 0, payload, f"value={r.value:.12f} tail_bound={r.tail_bound:.12f}"
 
 
 def cmd_eval(args) -> Result:
-    return _eval_result(numeric.zeta_eval(index_from_str(args.index), args.cutoff))
+    from .numeric import zeta_eval
+
+    return _eval_result(zeta_eval(_index(args.index), args.cutoff))
 
 
 def cmd_residual(args) -> Result:
+    from .ncpoly import NcPoly
+    from .numeric import z_eval
+
     with open(args.file) as fh:
         p = NcPoly.from_dict(json.load(fh))
-    return _eval_result(numeric.z_eval(p, args.cutoff))
+    return _eval_result(z_eval(p, args.cutoff))
 
 
 def cmd_span(args) -> Result:
-    basis = span.span_basis(args.weight)
+    from .span import span_basis
+
+    basis = span_basis(args.weight)
     payload = {
         "weight": basis.weight,
         "generators": [
@@ -209,6 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _falsification():
+    """span.NotInSpanError once span is loaded, which only verify corollary
+    does; before that no exception is one, and an except clause naming ()
+    catches nothing."""
+    span = sys.modules.get(f"{__package__}.span")
+    return () if span is None else span.NotInSpanError
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
@@ -220,7 +311,7 @@ def main(argv=None) -> int:
             with open(out, "w") as fh:
                 fh.write((text if args.format == "json" else _dump(payload)) + "\n")
         print(text)
-    except span.NotInSpanError as exc:
+    except _falsification() as exc:
         print(f"FAIL  {exc}", file=sys.stderr)
         return 1
     except RecursionError:

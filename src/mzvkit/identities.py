@@ -4,8 +4,8 @@ lemmas."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .ncpoly import NcPoly, X, Y
 from .series import (
@@ -17,8 +17,7 @@ from .series import (
 )
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one exact truncated-series equality check."""
 
     name: str

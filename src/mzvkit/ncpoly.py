@@ -68,12 +68,22 @@ def accumulate(acc: dict, pairs) -> dict:
 
 def accumulate_product(acc: dict, p: "NcPoly", q: "NcPoly") -> dict:
     """Add the terms of the product p * q into acc, as accumulate does."""
-    # a product of nonzero rationals is nonzero, as accumulate needs; the
-    # factors are small, so a list beats a generator here
+    # a product of nonzero rationals is nonzero, so a new key needs no test
+    get = acc.get
     right = q._terms.items()
-    return accumulate(acc, [
-        (w1 + w2, c1 * c2) for w1, c1 in p._terms.items() for w2, c2 in right
-    ])
+    for w1, c1 in p._terms.items():
+        for w2, c2 in right:
+            w = w1 + w2
+            prev = get(w)
+            if prev is None:
+                acc[w] = c1 * c2
+            else:
+                s = prev + c1 * c2
+                if s:
+                    acc[w] = s
+                else:
+                    del acc[w]
+    return acc
 
 
 def accumulate_scaled(acc: dict, terms: dict, factor) -> dict:

@@ -25,14 +25,13 @@ least the largest depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .maps import index_to_word, is_admissible_index, word_to_index
 from .ncpoly import NcPoly
 
 
-@dataclass
-class EvalResult:
+class EvalResult(NamedTuple):
     value: float
     cutoff: int
     tail_bound: float

@@ -7,10 +7,10 @@ lcm. Fractions appear only in the certificate coefficients."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .identities import sum_word
 from .maps import derivation, tau
@@ -21,21 +21,18 @@ class NotInSpanError(Exception):
     """A target expected to lie in the derivation span does not."""
 
 
-@dataclass(frozen=True)
-class SpanGenerator:
+class SpanGenerator(NamedTuple):
     n: int
     word: str
     image: NcPoly  # derivation(n, word), weight-homogeneous
 
 
-@dataclass
-class SpanBasis:
+class SpanBasis(NamedTuple):
     weight: int
     generators: list[SpanGenerator]
 
 
-@dataclass
-class MembershipCertificate:
+class MembershipCertificate(NamedTuple):
     """Witness: target = sum of coeff * d_n(word) over the combination."""
 
     target: NcPoly

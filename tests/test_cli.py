@@ -1,15 +1,17 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import mzvkit
-from mzvkit.cli import main
+from mzvkit.cli import _dump, main
 from mzvkit.ncpoly import NcPoly
 from mzvkit.span import MembershipCertificate
 
@@ -381,23 +383,35 @@ class TestHostileInput:
             ["dual", "(100000000000)"],
             ["eval", "(100000000000)", "--cutoff", "10"],
             ["derive", "1", "(100000000000)"],
+            ["delta", "--var", "u", "--order", "1", "(100000000000)"],
         ],
-        ids=["dual", "eval", "derive"],
+        ids=["dual", "eval", "derive", "delta"],
     )
     def test_oversized_index_part_exits_2(self, argv):
-        # The part's word alone needs about 100 GB. The child runs under a
-        # 1 GB address-space limit, so the allocation fails at once.
+        # The part's word alone would need about 100 GB; its weight is
+        # refused before the word is built. The child runs under a 1 GB
+        # address-space limit, so an attempt to build it fails at once.
         resource = pytest.importorskip("resource")
 
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+        start = time.perf_counter()
         r = subprocess.run(
             [sys.executable, "-m", "mzvkit.cli", *argv], capture_output=True, text=True,
             env=_child_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=limit_memory,
         )
+        assert time.perf_counter() - start < 1.0
         assert (r.returncode, r.stdout) == (2, "")
-        assert r.stderr == "error: input too large to fit in memory\n"
+        assert r.stderr == (
+            "error: index of weight 100000000000 exceeds the bound of 100000000 letters\n"
+        )
+
+    def test_long_index_within_the_bound_still_evaluates(self, capsys):
+        # zeta(10^7) summed to 10 is 1 + 2^-(10^7) + ..., which is 1.0
+        code, out, err = run(capsys, "eval", "(10000000)", "--cutoff", "10")
+        assert (code, err) == (0, "")
+        assert out == "value=1.000000000000 tail_bound=0.000000000000\n"
 
     def test_deepest_finite_bound_still_evaluates(self, capsys):
         # depth 171 is the last whose (2,1,...,1) bound is finite (about
@@ -459,6 +473,61 @@ class TestPinnedOutput:
         monkeypatch.setattr(cli_mod, "_dump", refuse)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out
+
+
+# characters that JSON escapes or that the indented writer splits on
+_FUZZ_CHARS = '{}[],:"\\\n\x00 xy-0\u00e9\u20ac\U0001d11e'
+
+
+def _fuzz_scalar(rng):
+    return rng.choice([
+        lambda: "".join(rng.choice(_FUZZ_CHARS) for _ in range(rng.randrange(6))),
+        lambda: rng.choice([0, -1, 7, 10**30, -(10**40), rng.randrange(-5, 5)]),
+        lambda: rng.choice([-0.0, 0.0, 1.5, 1e300, -2.5e-300, float("inf"), float("nan")]),
+        lambda: rng.choice([True, False, None]),
+    ])()
+
+
+def _fuzz_key(rng):
+    if rng.randrange(6) == 0:  # json.dumps writes these keys as strings
+        return rng.choice([1, -2, 1.5, True, False, None])
+    return "".join(rng.choice(_FUZZ_CHARS) for _ in range(rng.randrange(4)))
+
+
+def _fuzz_flat_dict(rng, size):
+    return {_fuzz_key(rng): _fuzz_scalar(rng) for _ in range(size)}
+
+
+def _fuzz_value(rng, depth=0):
+    kind = rng.randrange(6) if depth < 4 else 0
+    n = rng.randrange(4)
+    if kind == 0:
+        return _fuzz_scalar(rng)
+    if kind == 1:
+        return {_fuzz_key(rng): _fuzz_value(rng, depth + 1) for _ in range(n)}
+    if kind == 2:
+        return [_fuzz_value(rng, depth + 1) for _ in range(n)]
+    if kind == 3:
+        return tuple(_fuzz_value(rng, depth + 1) for _ in range(n))
+    if kind == 4:  # a list of dicts of scalars, some of them empty
+        return [_fuzz_flat_dict(rng, rng.randrange(3)) for _ in range(n)]
+    return {_fuzz_key(rng): [_fuzz_flat_dict(rng, 1 + rng.randrange(3)) for _ in range(n)]}
+
+
+class TestDump:
+    def test_matches_json_dumps_indent_2(self):
+        # json.dumps(indent=2) is the oracle that _dump must match byte for byte
+        rng = random.Random(20000)
+        for _ in range(20000):
+            value = _fuzz_value(rng)
+            assert _dump(value) == json.dumps(value, indent=2), repr(value)
+
+    def test_refuses_what_json_refuses(self):
+        for value in ({(1, 2): 0}, [{"a": object()}], {"a": [{"b": {1j}}]}):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                _dump(value)
 
 
 class TestDeterminism:
@@ -526,11 +595,71 @@ def test_installed_console_script():
     assert r.stdout.strip() == "(2,1,1)"
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy is loaded only by the numeric commands that need it
+# Runs mzvkit.cli.main on the arguments, then prints the loaded modules
+# as the last line of stdout.
+_LOADED_AFTER_MAIN = """\
+import sys
+from mzvkit.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(" ".join(sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, layers, numpy",
+    [
+        (lambda tmp: [], set(), False),
+        (lambda tmp: ["verify", "theorem", "--order", "3"],
+         {"ncpoly", "maps", "series", "identities"}, False),
+        (lambda tmp: ["verify", "corollary", "--weight", "4"],
+         {"ncpoly", "maps", "series", "identities", "span"}, False),
+        (lambda tmp: ["span", "--weight", "4"],
+         {"ncpoly", "maps", "series", "identities", "span"}, False),
+        (lambda tmp: ["residual", _write(tmp, json.dumps(NcPoly({"xy": 1}).to_dict())),
+                      "--cutoff", "10"],
+         {"ncpoly", "maps", "numeric"}, True),
+        (lambda tmp: ["eval", "(2,1)", "--cutoff", "10"], {"ncpoly", "maps", "numeric"}, True),
+        (lambda tmp: ["dual", "(4)"], {"ncpoly", "maps"}, False),
+        (lambda tmp: ["derive", "1", "xy"], {"ncpoly", "maps"}, False),
+        (lambda tmp: ["delta", "--var", "u", "--order", "2", "xy"],
+         {"ncpoly", "maps", "series"}, False),
+    ],
+    ids=["import", "theorem", "corollary", "span", "residual", "eval", "dual", "derive",
+         "delta"],
+)
+def test_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
+    # each run starts a fresh interpreter, so nothing is loaded beforehand
     r = subprocess.run(
-        [sys.executable, "-c", "import sys, mzvkit.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=_child_env(),
+        [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    loaded = set(r.stdout.splitlines()[-1].split())
+    assert {m.split(".", 1)[1] for m in loaded if m.startswith("mzvkit.")} == layers | {"cli"}
+    assert ("numpy" in loaded) == numpy
+    assert "dataclasses" not in loaded
+
+
+_LAZY_NAMES = """\
+import mzvkit
+assert "mzvkit.span" not in __import__("sys").modules
+assert mzvkit.span.corollary_check is mzvkit.corollary_check
+try:
+    mzvkit.no_such_name
+except AttributeError as exc:
+    print(exc)
+names = {}
+exec("from mzvkit import *", names)
+missing = [n for n in mzvkit.__all__ if n not in names or n not in dir(mzvkit)]
+print(missing)
+"""
+
+
+def test_package_names_resolve_on_first_access(tmp_path):
+    r = subprocess.run(
+        [sys.executable, "-c", _LAZY_NAMES],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "module 'mzvkit' has no attribute 'no_such_name'\n[]\n"
