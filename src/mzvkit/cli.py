@@ -19,8 +19,8 @@ import sys
 
 DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
-# an index of larger weight, and a derive or delta output that could be
-# longer, is refused before any word is built
+# an index of larger weight, and a derive, delta or span output that could
+# be longer, is refused before any word is built
 MAX_OUTPUT_LETTERS = 10**8
 
 Result = tuple[int, object, str | None]
@@ -42,6 +42,18 @@ def _index(text: str) -> tuple[int, ...]:
         raise ValueError(f"index of weight {sum(parts)} exceeds the bound of "
                          f"{MAX_OUTPUT_LETTERS} letters")
     return parts
+
+
+def _span_weight(k: int) -> int:
+    """The weight k, refused when the derivation span generators at weight
+    k could exceed MAX_OUTPUT_LETTERS: d_n maps each of the 2^(k-n-2)
+    admissible words of weight k-n to at most (k-n) * 2^(n-1) words of k
+    letters, which over n = 1..k-2 sums to k * 2^(k-3) * (k(k-1)/2 - 1)
+    letters. Any k > 64 exceeds the bound, so no huge power of 2 is built."""
+    if k > 64 or k >= 3 and k * 2 ** (k - 3) * (k * (k - 1) // 2 - 1) > MAX_OUTPUT_LETTERS:
+        raise ValueError(f"span generators at weight {k} may exceed "
+                         f"{MAX_OUTPUT_LETTERS} letters")
+    return k
 
 
 def _parse_word_or_index(text: str) -> str:
@@ -137,9 +149,9 @@ def cmd_verify_theorem(args) -> Result:
 
 
 def cmd_verify_corollary(args) -> Result:
+    k = _span_weight(args.weight)
     from . import span
 
-    k = args.weight
     if args.m is None and args.l is None:
         cases = span.corollary_check_all(k)
     elif args.m is None or args.l is None:
@@ -222,7 +234,7 @@ def cmd_residual(args) -> Result:
 def cmd_span(args) -> Result:
     from .span import span_basis
 
-    basis = span_basis(args.weight)
+    basis = span_basis(_span_weight(args.weight))
     payload = {
         "weight": basis.weight,
         "generators": [

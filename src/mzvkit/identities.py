@@ -103,24 +103,29 @@ class _Blocks:
         return self.lin("xu", "xv", *terms) + mixed
 
 
+def _zeta_base(b: _Blocks) -> Series3:
+    """x/(1-xu) y."""
+    return b.x * b.inv("xu") * b.y
+
+
 def conjecture_lhs_series(order: int) -> Series3:
     """x/(1-xu) y 1/(1-xw-yv) (1-xw): the generating function whose
     coefficient at u^(m-1) v^(l-1) w^(k-m-l) is sum_word(k, m, l)."""
     b = _Blocks(order)
-    return b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.lin("xw")
+    return _zeta_base(b) * b.inv("xw", "yv") * b.lin("xw")
 
 
 def conjecture_lhs_split_form(order: int) -> Series3:
     """The equivalent split form x/(1-xu)y + x/(1-xu)y 1/(1-xw-yv) yv."""
     b = _Blocks(order)
-    head = b.x * b.inv("xu") * b.y
+    head = _zeta_base(b)
     return head + head * b.inv("xw", "yv") * b.y * b.v
 
 
 def duality_k1_lhs(order: int) -> Series3:
     """x/(1-xu) y 1/(1-xw-yv) y - x 1/(1-xv-yw) x y/(1-yu)."""
     b = _Blocks(order)
-    t1 = b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y
+    t1 = _zeta_base(b) * b.inv("xw", "yv") * b.y
     t2 = b.x * b.inv("xv", "yw") * b.x * b.y * b.inv("yu")
     return t1 - t2
 
@@ -129,16 +134,11 @@ def duality_gf(order: int) -> Series3:
     """Full generating function of (1-tau)(sum_word): the depth-1 part plus
     v times the higher-depth part."""
     b = _Blocks(order)
-    head = b.x * b.inv("xu") * b.y - b.x * b.y * b.inv("yu")
+    head = _zeta_base(b) - b.x * b.y * b.inv("yu")
     return head + duality_k1_lhs(order) * b.v
 
 
 # -- the main identities ----------------------------------------------
-
-def _zeta_base(b: _Blocks) -> Series3:
-    """x/(1-xu) y."""
-    return b.x * b.inv("xu") * b.y
-
 
 def _inner1(b: _Blocks) -> Series3:
     """x 1/kernel y 1/(1-xw) (1-xw-yw): (Delta_v - Delta_w) of it is the

@@ -3,13 +3,15 @@ NcPoly coefficients, truncated by total degree.
 
 Includes geometric inversion, the automorphism Delta_t in two independent
 routes (the closed-form letter images multiplied left to right over a word,
-and exp of derivations), and the divided difference (F_v - F_w)/(v - w).
+and exp of derivations, summed in integers and divided once), and the
+divided difference (F_v - F_w)/(v - w).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 
 from .maps import derivation
 from .ncpoly import NcPoly, X, Y, accumulate, accumulate_product
@@ -234,14 +236,16 @@ def delta_subst(var: str, p: NcPoly, order: int) -> Series3:
 
 # -- Delta_t: exponential-of-derivations route ------------------------
 
-def _apply_big_derivation(var: str, f: Series3) -> Series3:
-    """One application of D = sum_n (d_n/n) t^n to a truncated series."""
+def _apply_big_derivation(var: str, f: Series3, scale: int) -> Series3:
+    """One application of scale*D = sum_n (scale/n) d_n t^n to a truncated
+    series; scale is a multiple of every n <= f.order, so an integral f
+    gives an integral image."""
     out: list[dict[tuple, NcPoly]] = [{} for _ in f._layers]
     for d, layer in enumerate(f._layers):
         for n in range(1, f.order - d + 1):
             shift = _axis_mono(var, n)
             images = (
-                (_mono_add(m, shift), derivation(n, q).scale(Fraction(1, n)))
+                (_mono_add(m, shift), derivation(n, q).scale(scale // n))
                 for m, q in layer.items()
             )
             accumulate(out[d + n], ((m, img) for m, img in images if img))
@@ -251,16 +255,21 @@ def _apply_big_derivation(var: str, f: Series3) -> Series3:
 def delta_exp(var: str, p: NcPoly, order: int) -> Series3:
     """Delta_t = exp(sum_n d_n t^n / n), truncated: the oracle route.
 
+    With L = lcm(1..order) and J = order, sums (L*D)^j p * L^(J-j) J!/j!,
+    integral for an integral p, and divides once, by L^J J!.
     Must agree with delta_subst on every input.
     """
-    total = Series3.from_poly(p, order)
-    cur = total
+    scale = lcm(*range(1, order + 1))
+    denominator = weight = scale**order * factorial(order)
+    cur = Series3.from_poly(p, order)
+    total = cur.scale(weight)
     for j in range(1, order + 1):
-        cur = _apply_big_derivation(var, cur).scale(Fraction(1, j))
+        cur = _apply_big_derivation(var, cur, scale)
         if cur.is_zero():
             break
-        total = total + cur
-    return total
+        weight //= scale * j
+        total = total + cur.scale(weight)
+    return total.scale(Fraction(1, denominator))
 
 
 # -- divided difference -----------------------------------------------

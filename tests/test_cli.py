@@ -11,11 +11,29 @@ from pathlib import Path
 import pytest
 
 import mzvkit
-from mzvkit.cli import _dump, main
+from mzvkit.cli import _dump, _span_weight, main
 from mzvkit.ncpoly import NcPoly
-from mzvkit.span import MembershipCertificate
+from mzvkit.span import MembershipCertificate, span_basis
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def _run_under_1gb(argv):
+    """Run the CLI on argv in a child under a 1 GB address-space limit, so
+    that an attempt to build a huge output fails at once; the child must
+    finish within 1 s."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    r = subprocess.run(
+        [sys.executable, "-m", "mzvkit.cli", *argv], capture_output=True, text=True,
+        env=_child_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=limit_memory,
+    )
+    assert time.perf_counter() - start < 1.0
+    return r
 
 
 def run(capsys, *argv):
@@ -389,23 +407,48 @@ class TestHostileInput:
     )
     def test_oversized_index_part_exits_2(self, argv):
         # The part's word alone would need about 100 GB; its weight is
-        # refused before the word is built. The child runs under a 1 GB
-        # address-space limit, so an attempt to build it fails at once.
-        resource = pytest.importorskip("resource")
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        start = time.perf_counter()
-        r = subprocess.run(
-            [sys.executable, "-m", "mzvkit.cli", *argv], capture_output=True, text=True,
-            env=_child_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=limit_memory,
-        )
-        assert time.perf_counter() - start < 1.0
+        # refused before the word is built.
+        r = _run_under_1gb(argv)
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr == (
             "error: index of weight 100000000000 exceeds the bound of 100000000 letters\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["span", "--weight", "40"],
+            ["verify", "corollary", "--weight", "40"],
+            ["verify", "corollary", "--weight", "40", "--m", "1", "--l", "2"],
+        ],
+        ids=["span", "corollary", "corollary-m-l"],
+    )
+    def test_infeasible_span_weight_exits_2(self, argv):
+        # d_1 alone maps 2^37 admissible words at weight 40; the weight is
+        # refused before any generator is built
+        r = _run_under_1gb(argv)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == (
+            "error: span generators at weight 40 may exceed 100000000 letters\n"
+        )
+
+    def test_span_weight_bound_cuts_between_18_and_19(self):
+        # 18 * 2^15 * 152 = 8.97e7 letters pass, 19 * 2^16 * 170 = 2.12e8 do not
+        assert _span_weight(18) == 18
+        for k in (19, 65, 10**12):
+            with pytest.raises(ValueError, match=f"at weight {k} may exceed"):
+                _span_weight(k)
+
+    def test_span_weight_bound_holds(self):
+        # the letters the generator images really hold: exact at weight 3,
+        # 140 of the bound's 180 at weight 5, where terms merge or cancel
+        def bound(k):
+            return k * 2 ** (k - 3) * (k * (k - 1) // 2 - 1)
+
+        letters = {k: sum(len(g.image) * k for g in span_basis(k).generators)
+                   for k in range(3, 10)}
+        assert (letters[3], letters[5], bound(5)) == (6, 140, 180)
+        assert all(letters[k] <= bound(k) for k in letters)
 
     def test_long_index_within_the_bound_still_evaluates(self, capsys):
         # zeta(10^7) summed to 10 is 1 + 2^-(10^7) + ..., which is 1.0

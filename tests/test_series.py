@@ -10,6 +10,7 @@ from mzvkit.ncpoly import NcPoly, all_words
 from mzvkit.series import (
     NotDivisibleError,
     Series3,
+    _apply_big_derivation,
     delta_exp,
     delta_on_series,
     delta_subst,
@@ -271,6 +272,38 @@ class TestDeltaExp:
         for w in ws:
             for n in range(0, 5):
                 assert delta_exp("v", P(w), n) == delta_subst("v", P(w), n)
+
+    @given(polys, st.sampled_from("uvw"), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_subst_on_rational_polys(self, p, var, n):
+        assert delta_exp(var, p, n) == delta_subst(var, p, n)
+
+    def test_fixes_x_plus_y_at_order_12(self):
+        # d_n(x + y) = 0, so the first power of D is zero and the sum stops
+        s = P("x") + P("y")
+        for var in "uvw":
+            assert delta_exp(var, s, 12) == Series3.from_poly(s, 12)
+
+    def test_powers_of_the_scaled_derivation_are_integral(self):
+        n = 6
+        big = 60  # lcm(1..6)
+        cur = Series3(n, {(0, 0, 0): P("xyx", 3) + P("yy", -2), (0, 1, 0): P("x", 5)})
+        for _ in range(n):
+            cur = _apply_big_derivation("u", cur, big)
+            assert not cur.is_zero()
+            assert all(type(c) is int for _, q in cur.items() for c in q.terms.values())
+
+    def test_uses_no_closed_form_image(self, monkeypatch):
+        # the oracle reaches Delta_t through derivation alone
+        import mzvkit.series as series_mod
+
+        def closed_form(*args):
+            raise AssertionError("closed-form Delta_t called")
+
+        expected = delta_subst("u", P("xxy"), 5)
+        for name in ("_delta_word", "_delta_letter", "delta_on_series"):
+            monkeypatch.setattr(series_mod, name, closed_form)
+        assert delta_exp("u", P("xxy"), 5) == expected
 
 
 class TestDeltaOnSeries:
