@@ -20,6 +20,7 @@ _LAYERS = {
         "index_to_word",
         "word_to_index",
         "dual_index",
+        "sum_word",
     ),
     "series": (
         "Series3",
@@ -31,7 +32,6 @@ _LAYERS = {
     ),
     "identities": (
         "IdentityReport",
-        "sum_word",
         "conjecture_lhs_series",
         "verify_duality_zeta",
         "verify_duality_k1",

@@ -1,12 +1,12 @@
-"""Generating functions for the fixed (weight, depth, k1) sums and exact
-truncated-series verification of the two main identities and their proof
-lemmas."""
+"""Generating functions for the fixed (weight, depth, k1) sums (the sums
+themselves, as words, are maps.sum_word) and exact truncated-series
+verification of the two main identities and their proof lemmas."""
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple
 
+from .maps import sum_word  # kept here: perfbench/trace_child.py wraps identities.sum_word
 from .ncpoly import NcPoly, X, Y
 from .series import (
     NotDivisibleError,
@@ -42,25 +42,6 @@ def compare_series(name: str, lhs: Series3, rhs: Series3) -> IdentityReport:
         return IdentityReport(name, diff.order, True)
     m = diff.first_nonzero()
     return IdentityReport(name, diff.order, False, m, diff.coeff(m).render())
-
-
-# -- the sums and their generating function ---------------------------
-
-def sum_word(k: int, m: int, l: int) -> NcPoly:
-    """The word-side sum at fixed weight k, depth l and leading exponent m:
-    x^m y followed by every word of k-m-1 letters with l-1 letters y, the
-    last at the end, i.e. y at places m, k-1 and l-2 of those between."""
-    if m < 1 or l < 1:
-        raise ValueError(f"m and l must be at least 1, got m={m}, l={l}")
-    if k < m + l:
-        raise ValueError("empty index range: need k >= m + l")
-    if l == 1:  # x^m y alone, a word of weight k only when k = m + 1
-        return NcPoly({X * m + Y: 1} if k == m + 1 else {})
-    terms = {}
-    for inner in combinations(range(m + 1, k - 1), l - 2):
-        ys = {m, *inner, k - 1}
-        terms["".join(Y if i in ys else X for i in range(k))] = 1
-    return NcPoly(terms)
 
 
 # -- series building blocks -------------------------------------------

@@ -1,10 +1,12 @@
-"""Structure maps on Q<x,y>: duality tau, the derivations d_n, and the
-dictionary between MZV indices and words."""
+"""Structure maps on Q<x,y>: duality tau, the derivations d_n, the
+dictionary between MZV indices and words, and the fixed (weight, depth, k1)
+sums as words."""
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations
 
 from .ncpoly import NcPoly, X, Y, accumulate, admissible_words, check_word
 
@@ -76,6 +78,23 @@ def dual_index(parts) -> tuple[int, ...]:
     if not is_admissible_index(parts):
         raise ValueError(f"dual undefined for non-admissible index {tuple(parts)}")
     return word_to_index(tau_word(index_to_word(parts)))
+
+
+def sum_word(k: int, m: int, l: int) -> NcPoly:
+    """The word-side sum at fixed weight k, depth l and leading exponent m:
+    x^m y followed by every word of k-m-1 letters with l-1 letters y, the
+    last at the end, i.e. y at places m, k-1 and l-2 of those between."""
+    if m < 1 or l < 1:
+        raise ValueError(f"m and l must be at least 1, got m={m}, l={l}")
+    if k < m + l:
+        raise ValueError("empty index range: need k >= m + l")
+    if l == 1:  # x^m y alone, a word of weight k only when k = m + 1
+        return NcPoly({X * m + Y: 1} if k == m + 1 else {})
+    terms = {}
+    for inner in combinations(range(m + 1, k - 1), l - 2):
+        ys = {m, *inner, k - 1}
+        terms["".join(Y if i in ys else X for i in range(k))] = 1
+    return NcPoly(terms)
 
 
 # -- text forms -------------------------------------------------------

@@ -10,7 +10,6 @@ divided difference (F_v - F_w)/(v - w).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
 
 from .maps import derivation
@@ -117,16 +116,7 @@ class Series3:
             return NotImplemented
         left, right = self._layers, other._layers
         n = min(len(left), len(right))
-        # js[d]: ascending, the j with left[j] and right[d-j] both nonempty
-        js: list[list[int]] = [[] for _ in range(n)]
-        rights = [i for i in range(n) if right[i]]
-        for j in range(n):
-            if left[j]:
-                for i in rights:
-                    if i + j >= n:
-                        break
-                    js[i + j].append(j)
-        return Series3._of([_degree_layer(left, right, d, js[d]) for d in range(n)])
+        return Series3._of([_degree_layer(left, right, d) for d in range(n)])
 
     def scale(self, c) -> "Series3":
         return Series3._of([
@@ -150,17 +140,18 @@ class Series3:
         return f"Series3(order={self.order}, {{{inner}}})"
 
 
-def _degree_layer(left: list, right: list, d: int, js: list[int]) -> dict:
-    """Layer d of a product: the sum over j in js of left[j] * right[d-j].
+def _degree_layer(left: list, right: list, d: int) -> dict:
+    """Layer d of a product: the sum over j = 0..d of left[j] * right[d-j].
 
-    The one product kernel under Series3.__mul__ and geometric_inverse; its
-    callers pass only the j at which both layers are nonempty, so a sparse
-    factor costs no visits to empty layers. Each output monomial keeps one
-    {word: coeff} dict, into which every pair of factor terms is summed in
-    place; the nonempty dicts become NcPolys at the end.
+    The one product kernel under Series3.__mul__ and geometric_inverse; it
+    skips each j at which either layer is empty. Each output monomial keeps
+    one {word: coeff} dict, into which every pair of factor terms is summed
+    in place, in ascending j; the nonempty dicts become NcPolys at the end.
     """
     acc: dict[tuple, dict] = {}
-    for j in js:
+    for j in range(d + 1):
+        if not (left[j] and right[d - j]):
+            continue
         pairs = right[d - j].items()
         for (a1, b1, c1), p in left[j].items():
             for (a2, b2, c2), q in pairs:
@@ -173,15 +164,15 @@ def geometric_inverse(f: Series3) -> Series3:
     exactly 1.
 
     With e = 1 - f, g = 1 + e*g gives g_0 = 1 and g_d = sum_{j=1..d} e_j
-    g_(d-j): one pass over degrees. Layers 1.. of -f are those of e.
+    g_(d-j): one pass over degrees. Layers 1.. of -f are those of e; its
+    layer 0 is left empty, so the kernel never reads the unbuilt g_d.
     """
     if f.coeff((0, 0, 0)) != NcPoly.one():
         raise ValueError("not invertible at this truncation: constant term != 1")
-    e = (-f)._layers
-    es = [j for j in range(1, len(e)) if e[j]]
+    e = [{}] + (-f)._layers[1:]
     g = [{(0, 0, 0): NcPoly.one()}]
     for d in range(1, len(e)):
-        g.append(_degree_layer(e, g, d, [j for j in es if j <= d and g[d - j]]))
+        g.append(_degree_layer(e, g, d))
     return Series3._of(g)
 
 
@@ -204,7 +195,6 @@ def _delta_letter(var: str, letter: str, order: int) -> Series3:
     return Series3(order, terms)
 
 
-@lru_cache(maxsize=None)
 def _delta_word(var: str, word: str, order: int) -> Series3:
     if not word:
         return Series3.scalar(1, order)

@@ -12,8 +12,7 @@ from functools import cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .identities import sum_word
-from .maps import derivation, tau
+from .maps import derivation, sum_word, tau
 from .ncpoly import NcPoly, accumulate, accumulate_scaled, admissible_words
 
 

@@ -655,10 +655,8 @@ sys.exit(code)
         (lambda tmp: [], set(), False),
         (lambda tmp: ["verify", "theorem", "--order", "3"],
          {"ncpoly", "maps", "series", "identities"}, False),
-        (lambda tmp: ["verify", "corollary", "--weight", "4"],
-         {"ncpoly", "maps", "series", "identities", "span"}, False),
-        (lambda tmp: ["span", "--weight", "4"],
-         {"ncpoly", "maps", "series", "identities", "span"}, False),
+        (lambda tmp: ["verify", "corollary", "--weight", "4"], {"ncpoly", "maps", "span"}, False),
+        (lambda tmp: ["span", "--weight", "4"], {"ncpoly", "maps", "span"}, False),
         (lambda tmp: ["residual", _write(tmp, json.dumps(NcPoly({"xy": 1}).to_dict())),
                       "--cutoff", "10"],
          {"ncpoly", "maps", "numeric"}, True),
@@ -688,6 +686,11 @@ _LAZY_NAMES = """\
 import mzvkit
 assert "mzvkit.span" not in __import__("sys").modules
 assert mzvkit.span.corollary_check is mzvkit.corollary_check
+# span and the fixed-sum words live on the word layer: no series code loads
+assert mzvkit.sum_word is mzvkit.maps.sum_word
+loaded = __import__("sys").modules
+assert "mzvkit.series" not in loaded and "mzvkit.identities" not in loaded
+assert mzvkit.identities.sum_word is mzvkit.maps.sum_word
 try:
     mzvkit.no_such_name
 except AttributeError as exc:
