@@ -19,6 +19,15 @@ import sys
 
 DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
+# The largest --order of each identity, whose peak RSS stays under 1 GB.
+# Peak RSS of the process by order, and its growth:
+#   eq 3:   81, 172, 456 MB at 12, 13, 14; 2.1-2.7x per order, so 15
+#           would take about 1.2 GB;
+#   eq 2:   38, 111, 404, 793 MB at 16, 18, 20, 21; about 1.9x per order,
+#           so 22 would take about 1.5 GB;
+#   lemmas: 17, 30, 112, 683, 998 MB at 120, 240, 480, 960, 1100; about
+#           6x per doubling (N^2.6), so 1121 would reach 1 GB.
+MAX_ORDER = {"2": 21, "3": 14, "lemmas": 1100}
 # an index of larger weight, and a derive, delta or span output that could
 # be longer, is refused before any word is built
 MAX_OUTPUT_LETTERS = 10**8
@@ -30,6 +39,15 @@ def _order(args, fallback: int) -> int:
     """The truncation order: --order, else fallback. The library rejects an
     order below its minimum with ValueError (exit 2)."""
     return fallback if args.order is None else args.order
+
+
+def _check_order(eq: str, order: int | None):
+    """Refuse an order past the MAX_ORDER of an identity that --eq runs;
+    --eq all runs each of them."""
+    limit = min(top for e, top in MAX_ORDER.items() if eq in (e, "all"))
+    if order is not None and order > limit:
+        raise ValueError(f"order {order} of --eq {eq} exceeds {limit}, the largest "
+                         "whose peak memory stays under 1 GB")
 
 
 def _index(text: str) -> tuple[int, ...]:
@@ -72,62 +90,40 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def _dump(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte. Each container is encoded
-    by one call of the C encoder, with 0 in place of each nested container,
-    and then indented; a list of nonempty dicts of scalars, by one call in
-    all."""
-    out: list[str] = []
-    _write(obj, "", out)
-    return "".join(out)
+    """json.dumps(obj, indent=2), byte for byte. json.dumps lays out obj with
+    the string "\x00" in place of each record list, a nonempty list of
+    nonempty dicts of scalars, which the C encoder writes as one block."""
+    blocks: list[str] = []
 
-
-def _scalars(values) -> list:
-    """values with 0 in place of each one that is not a scalar."""
-    return [v if type(v) in _SCALARS else 0 for v in values]
-
-
-def _write(obj, ind: str, out: list[str]):
-    """Append the pieces of obj's encoding, indented from ind, to out."""
-    if isinstance(obj, dict):
-        _spread(_encode(dict(zip(obj, _scalars(obj.values())))), obj.values(), ind, out)
-    elif not isinstance(obj, (list, tuple)):
-        out.append(_encode(obj))
-    elif obj and all(type(d) is dict and d and all(type(v) in _SCALARS for v in d.values())
-                     for d in obj):
+    def shape(o, ind: str):
+        if isinstance(o, dict):
+            return {k: shape(v, ind + "  ") for k, v in o.items()}
+        if not isinstance(o, (list, tuple)):
+            return o
+        if not (o and all(type(d) is dict and d and _SCALARS.issuperset(map(type, d.values()))
+                          for d in o)):
+            return [shape(v, ind + "  ") for v in o]
         # Once each "\x00" is a newline and indent, "},\n" + deep + "{"
         # occurs only between two of the dicts: no scalar ends in "}".
         # Each replace looks for a rare first letter, so it skips fast.
         inner, deep = ind + "  ", ind + "    "
-        body = _encode(obj)[2:-2].replace("\x00", "\n" + deep)
+        body = _encode(o)[2:-2].replace("\x00", "\n" + deep)
         body = body.replace(f"}},\n{deep}{{", f"\n{inner}}},\n{inner}{{\n{deep}")
-        out += ("[\n", inner, "{\n", deep, body, "\n", inner, "}\n", ind, "]")
-    else:
-        _spread(_encode(_scalars(obj)), obj, ind, out)
+        blocks.append(f"[\n{inner}{{\n{deep}{body}\n{inner}}}\n{ind}]")
+        return "\x00"
 
-
-def _spread(line: str, values, ind: str, out: list[str]):
-    """Append the one-line encoding of a container, whose values are given,
-    indented from ind; a nested value, held by a 0 in line, is written in
-    its place."""
-    if len(line) == 2:  # empty
-        out.append(line)
-        return
-    inner = ind + "  "
-    out += (line[0], "\n", inner)
-    for i, (item, v) in enumerate(zip(line[1:-1].split(",\x00"), values)):
-        if i:
-            out += (",\n", inner)
-        if type(v) in _SCALARS:
-            out.append(item)
-        else:  # item ends in the 0 that held v's place
-            out.append(item[:-1])
-            _write(v, inner, out)
-    out += ("\n", ind, line[-1])
+    pieces = json.dumps(shape(obj, ""), indent=2).split(json.dumps("\x00"))
+    if len(pieces) != len(blocks) + 1:  # a key or string of obj holds the token
+        return json.dumps(obj, indent=2)
+    out = pieces + blocks
+    out[::2], out[1::2] = pieces, blocks
+    return "".join(out)
 
 
 # -- subcommand handlers ----------------------------------------------
 
 def cmd_verify_theorem(args) -> Result:
+    _check_order(args.eq, args.order)
     from . import identities
 
     reports = []

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mzvkit
-from mzvkit.cli import _dump, _span_weight, main
+from mzvkit.cli import _check_order, _dump, _span_weight, main
 from mzvkit.ncpoly import NcPoly
 from mzvkit.span import MembershipCertificate, span_basis
 
@@ -378,6 +378,13 @@ HOSTILE = {
         "residual", _write(tmp, json.dumps({"terms": [{"word": "xy\n", "coeff": "1"}]})),
         "--cutoff", "100",
     ],
+    # orders whose series would take far more than 1 GB
+    "theorem-eq3-order-40": lambda tmp: ["verify", "theorem", "--eq", "3", "--order", "40"],
+    "theorem-eq2-order-60": lambda tmp: ["verify", "theorem", "--eq", "2", "--order", "60"],
+    "theorem-lemmas-order-100000": lambda tmp: [
+        "verify", "theorem", "--eq", "lemmas", "--order", "100000",
+    ],
+    "theorem-order-1e9": lambda tmp: ["verify", "theorem", "--order", "1000000000"],
 }
 
 
@@ -431,6 +438,30 @@ class TestHostileInput:
         assert r.stderr == (
             "error: span generators at weight 40 may exceed 100000000 letters\n"
         )
+
+    @pytest.mark.parametrize(
+        "case, refused",
+        [
+            ("theorem-eq3-order-40", "order 40 of --eq 3 exceeds 14"),
+            ("theorem-eq2-order-60", "order 60 of --eq 2 exceeds 21"),
+            ("theorem-lemmas-order-100000", "order 100000 of --eq lemmas exceeds 1100"),
+            ("theorem-order-1e9", "order 1000000000 of --eq all exceeds 14"),
+        ],
+    )
+    def test_infeasible_theorem_order_exits_2(self, tmp_path, case, refused):
+        # refused before any series is built
+        r = _run_under_1gb(HOSTILE[case](tmp_path))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"error: {refused}, the largest whose peak memory stays under 1 GB\n"
+
+    @pytest.mark.parametrize("eq, top", [("2", 21), ("3", 14), ("lemmas", 1100), ("all", 14)])
+    def test_theorem_order_bound_is_the_stated_one(self, eq, top):
+        # the largest orders of cli.MAX_ORDER's memory model; --eq all takes
+        # the smallest
+        _check_order(eq, None)
+        _check_order(eq, top)
+        with pytest.raises(ValueError, match=f"order {top + 1} of --eq {eq} exceeds {top},"):
+            _check_order(eq, top + 1)
 
     def test_span_weight_bound_cuts_between_18_and_19(self):
         # 18 * 2^15 * 152 = 8.97e7 letters pass, 19 * 2^16 * 170 = 2.12e8 do not
