@@ -7,13 +7,15 @@ lcm. Fractions appear only in the certificate coefficients."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .maps import derivation, sum_word, tau
-from .ncpoly import NcPoly, accumulate, accumulate_scaled, admissible_words
+from .ncpoly import NcPoly, accumulate, accumulate_scaled, admissible_words, check_word
 
 
 class NotInSpanError(Exception):
@@ -37,15 +39,34 @@ class MembershipCertificate(NamedTuple):
     target: NcPoly
     combination: list[tuple[int, str, Fraction]]
 
-    def expand(self) -> NcPoly:
-        """Re-expand the combination by direct derivation calls (no solver)."""
-        acc: dict[str, Fraction] = {}
+    def _expanded(self) -> tuple[int, dict[str, int]]:
+        """(den, terms of den * the combination's expansion), with den the
+        lcm of every denominator in the combination and in the target. The
+        combination is summed per n into one integer polynomial, and d_n,
+        being linear, is applied once to each (no solver)."""
+        den = lcm(
+            *(c.denominator for c in self.target.terms.values()),
+            *(c.denominator for _, _, c in self.combination),
+        )
+        by_n: dict[int, dict[str, int]] = {}
         for n, w, c in self.combination:
-            accumulate(acc, derivation(n, NcPoly.word(w)).scale(c).terms.items())
-        return NcPoly._of(acc)
+            if c:
+                accumulate(by_n.setdefault(n, {}), [(check_word(w), _times(c, den))])
+        acc: dict[str, int] = {}
+        for n, terms in by_n.items():
+            accumulate(acc, derivation(n, NcPoly._of(terms)).terms.items())
+        return den, acc
+
+    def expand(self) -> NcPoly:
+        """Re-expand the combination by direct derivation calls."""
+        den, acc = self._expanded()
+        return NcPoly._of(acc).scale(Fraction(1, den))
 
     def verify(self) -> bool:
-        return self.expand() == self.target
+        """True iff the combination expands to the target, compared in
+        integers: den * expansion against den * target."""
+        den, acc = self._expanded()
+        return acc == {w: _times(c, den) for w, c in self.target.terms.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -88,15 +109,19 @@ class SpanSolver:
 
     Rows are the words of the weight. Pivot rule: columns are processed in
     generator order and reduced against every pivot so far; one that is
-    not reduced to zero pivots at its largest nonzero word (x < y).
+    not reduced to zero pivots at its least-used nonzero word, the one
+    fewest generator images contain (a static Markowitz count, taken once
+    per weight), ties going to the largest word (x < y).
     Generator j becomes a pivot exactly when its image is not in the span
     of the images of generators 0..j-1, whatever word a column pivots at.
     So the pivot generators do not depend on the pivot word, and a
     certificate, a combination of those independent generators, is unique.
-    The word sets only the fill-in, and the largest word fills in far less
-    than the least one (weight 13 builds about 9x faster). _reduce clears
-    the pivots in creation order, which is right for any pivot word: each
-    pivot row was reduced against every earlier one.
+    The word sets only the fill-in: the least-used word fills in less than
+    the largest word (on one machine, weight 12 builds in 1.0 s instead of
+    1.6 s, weight 13 in 6.3 s instead of 8.5 s), and that in far less than
+    the least word. _reduce clears the pivots in creation order, which is
+    right for any pivot word: each pivot row was reduced against every
+    earlier one.
 
     Elimination is fraction-free over Python ints (Bareiss-style) on
     augmented rows: one integer dict per column whose word keys hold the
@@ -119,13 +144,16 @@ class SpanSolver:
         self.weight = k
         self.basis = span_basis(k) if k >= 2 else SpanBasis(k, [])
         self.pivots: dict[str, dict[str | int, int]] = {}
-        for j, gen in enumerate(self.basis.generators):
+        gens = self.basis.generators
+        # how many generator images contain each word
+        uses = Counter(chain.from_iterable(gen.image.terms for gen in gens))
+        for j, gen in enumerate(gens):
             row = gen.image.terms  # a fresh dict; images have int coefficients
             row[j] = 1
             self._reduce(row, j)
             words = [key for key in row if type(key) is str]
             if words:
-                word = max(words)
+                word = max(words, key=lambda w: (-uses[w], w))
                 if row[word] < 0:
                     for key in row:
                         row[key] = -row[key]
@@ -174,11 +202,16 @@ class SpanSolver:
         return MembershipCertificate(target, combination)
 
 
+def _times(c: int | Fraction, den: int) -> int:
+    """den * c, for a den that c's denominator divides."""
+    return c.numerator * (den // c.denominator)
+
+
 def _cleared(p: NcPoly) -> tuple[int, dict[str, int]]:
     """(den, terms of den * p) with den the lcm of p's denominators."""
     terms = p.terms
     den = lcm(*(c.denominator for c in terms.values()))
-    return den, {w: c.numerator * (den // c.denominator) for w, c in terms.items()}
+    return den, {w: _times(c, den) for w, c in terms.items()}
 
 
 @cache

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -62,16 +63,38 @@ def oracle_member(target, k):
     return _dense_rank(cols, k) == _dense_rank(cols + [_vec(target, k)], k)
 
 
-# -- independent oracle: rational elimination, either pivot rule -------
+# -- independent oracle: rational elimination, any pivot rule ----------
+
+def _uses(k):
+    """How many generator images of weight k contain each word."""
+    return Counter(w for g in span_basis(k).generators for w in g.image.terms)
+
+
+# Pivot rules: the word a reduced column (its words) pivots at, given _uses.
+def least_word(words, uses):
+    return min(words)
+
+
+def largest_word(words, uses):
+    return max(words)
+
+
+def least_used(words, uses):
+    return max(words, key=lambda w: (-uses[w], w))
+
+
+RULES = [least_word, largest_word, least_used]
+
 
 class _FractionSolver:
     """Gaussian elimination over Fraction with unit pivots, kept as a
-    differential oracle. lead picks the word a column pivots at: max is the
-    solver's rule, min the least-word rule it replaced. Pivots are cleared
-    in creation order, as the solver does."""
+    differential oracle. rule picks the word a column pivots at: least_used
+    is the solver's rule, largest_word and least_word the rules it
+    replaced. Pivots are cleared in creation order, as the solver does."""
 
-    def __init__(self, k, lead=max):
+    def __init__(self, k, rule=least_used):
         self.basis = span_basis(k)
+        uses = _uses(k)
         # pivot row -> (column vector, combination over generator indices)
         self.pivots = {}
         # the generator index of each pivot, in creation order
@@ -81,7 +104,7 @@ class _FractionSolver:
             combo = {j: Fraction(1)}
             self._reduce(vec, combo)
             if vec:
-                row = lead(vec)
+                row = rule(vec, uses)
                 scale = vec[row]
                 vec = {r: c / scale for r, c in vec.items()}
                 combo = {i: c / scale for i, c in combo.items()}
@@ -106,6 +129,33 @@ class _FractionSolver:
             return None
         gens = self.basis.generators
         return [(gens[i].n, gens[i].word, -c) for i, c in sorted(combo.items()) if c]
+
+
+# -- independent oracle: certificate expansion term by term ------------
+
+def _expand_per_term(cert):
+    """The combination expanded by one derivation call per term, each image
+    scaled by its Fraction coefficient."""
+    acc = {}
+    for n, w, c in cert.combination:
+        accumulate(acc, derivation(n, NcPoly.word(w)).scale(c).terms.items())
+    return NcPoly._of(acc)
+
+
+MUTANT_KINDS = ["dropped term", "changed n", "coefficient + 1", "term listed twice"]
+
+
+def _mutant(combo, kind, rng):
+    """A nonempty combination with one seeded change of the given kind."""
+    i = rng.randrange(len(combo))
+    n, w, c = combo[i]
+    changed = {
+        "dropped term": [],
+        "changed n": [(n + 1, w, c)],
+        "coefficient + 1": [(n, w, c + 1)],
+        "term listed twice": [combo[i], combo[rng.randrange(len(combo))]],
+    }[kind]
+    return combo[:i] + changed + combo[i + 1:]
 
 
 # -- basis -------------------------------------------------------------
@@ -208,13 +258,13 @@ class TestAugmentedRows:
 
     @pytest.mark.parametrize("k", range(3, 9))
     def test_pivot_rows(self, k):
-        solver = SpanSolver(k)
+        solver, uses = SpanSolver(k), _uses(k)
         gens = solver.basis.generators
         assert solver.pivots
         for word, row in solver.pivots.items():
             words = {key: c for key, c in row.items() if isinstance(key, str)}
             combo = {key: c for key, c in row.items() if isinstance(key, int)}
-            assert max(words) == word
+            assert least_used(words, uses) == word
             assert row[word] > 0
             expected = NcPoly.zero()
             for i, c in combo.items():
@@ -238,7 +288,7 @@ class TestFractionOracle:
     def test_duality_targets(self):
         for k in range(3, 9):
             solver, oracle = SpanSolver(k), _FractionSolver(k)
-            assert sorted(solver.pivots) == sorted(oracle.pivots)
+            assert list(solver.pivots) == list(oracle.pivots)
             for m in range(1, k):
                 for l in range(1, k - m + 1):
                     t = duality_target(k, m, l)
@@ -281,8 +331,8 @@ class TestFractionOracle:
 
 class TestPivotRule:
     """Generator j pivots exactly when its image is independent of those of
-    generators 0..j-1, whatever word a column pivots at; so the least-word
-    and largest-word rules give the same certificates."""
+    generators 0..j-1, whatever word a column pivots at; so the least-word,
+    largest-word and least-used rules give the same certificates."""
 
     @staticmethod
     def _greedy(k):
@@ -295,16 +345,19 @@ class TestPivotRule:
                 chosen.append(j)
         return chosen
 
-    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("k", range(3, 10))
     def test_min_and_max_leads_agree(self, k):
-        least, largest = _FractionSolver(k, lead=min), _FractionSolver(k, lead=max)
-        assert least.independent == largest.independent == self._greedy(k)
+        oracles = [_FractionSolver(k, rule) for rule in RULES]
+        independent = oracles[0].independent
+        assert all(oracle.independent == independent for oracle in oracles)
+        if k < 9:  # the dense rank oracle takes about 19 s at weight 9
+            assert independent == self._greedy(k)
         # a pivot row's generator is its largest int key: the others are
         # those of earlier pivots
         solver = SpanSolver(k)
         assert [
             max(key for key in row if isinstance(key, int)) for row in solver.pivots.values()
-        ] == largest.independent
+        ] == independent
         rng = random.Random(5003 + k)
         gens = span_basis(k).generators
         targets = [duality_target(k, m, l) for m in range(1, k) for l in range(1, k - m + 1)]
@@ -320,10 +373,69 @@ class TestPivotRule:
             )
         members = 0
         for t in targets:
-            combination = least.combination(t)
-            assert combination == largest.combination(t), t.render()
+            combination = oracles[0].combination(t)
+            for oracle in oracles[1:]:
+                assert oracle.combination(t) == combination, t.render()
             members += combination is not None
         assert k * (k - 1) // 2 < members < len(targets)
+
+
+class TestGroupedVerify:
+    """verify() sums the combination per n in integers; its verdict equals
+    the term-by-term expansion's on certificates and on their mutants."""
+
+    def test_every_certificate(self):
+        for k in range(3, 12):
+            for _, _, cert in corollary_check_all(k):
+                expanded = _expand_per_term(cert)
+                assert expanded == cert.target
+                assert cert.expand() == expanded
+                assert cert.verify()
+
+    def test_seeded_mutants(self):
+        # one mutant per nonempty certificate, the kinds taken in turn
+        rng = random.Random(7919)
+        made = Counter()
+        for k in range(3, 12):
+            for _, _, cert in corollary_check_all(k):
+                if not cert.combination:
+                    continue
+                kind = MUTANT_KINDS[sum(made.values()) % len(MUTANT_KINDS)]
+                mutant = MembershipCertificate(cert.target, _mutant(cert.combination, kind, rng))
+                expanded = _expand_per_term(mutant)
+                assert mutant.expand() == expanded, kind
+                assert expanded != cert.target and not mutant.verify(), kind
+                made[kind] += 1
+        assert min(made[kind] for kind in MUTANT_KINDS) >= 40
+
+    def test_rational_target(self):
+        target = duality_target(7, 3, 2).scale(Fraction(-5, 6))
+        cert = membership(target, 7)
+        assert any(c.denominator > 1 for _, _, c in cert.combination)
+        assert _expand_per_term(cert) == cert.expand() == target
+        assert cert.verify()
+
+    def test_wrong_certificate_fails_both_routes(self):
+        right = corollary_check(8, 3, 2)
+        wrong = MembershipCertificate(right.target, corollary_check(8, 2, 3).combination)
+        assert wrong.combination != right.combination
+        assert _expand_per_term(wrong) != wrong.target
+        assert not wrong.verify()
+
+    def test_zero_coefficient_term_is_ignored(self):
+        # a certificate read from JSON may carry a term with coefficient 0
+        cert = corollary_check(8, 3, 2)
+        padded = MembershipCertificate(cert.target, cert.combination + [(2, "xxyxy", Fraction(0))])
+        assert _expand_per_term(padded) == padded.expand() == cert.target
+        assert padded.verify()
+
+    def test_malformed_word_raises_in_both_routes(self):
+        # a certificate read from JSON may name a non-word
+        cert = MembershipCertificate(P("xxy") + P("xyy", -1), [(1, "xz", Fraction(-1))])
+        with pytest.raises(ValueError):
+            _expand_per_term(cert)
+        with pytest.raises(ValueError):
+            cert.verify()
 
 
 # -- corollary ---------------------------------------------------------
