@@ -89,35 +89,35 @@ _encode = json.JSONEncoder(separators=(",\x00", ": ")).encode
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _dump(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte. json.dumps lays out obj with
-    the string "\x00" in place of each record list, a nonempty list of
-    nonempty dicts of scalars, which the C encoder writes as one block."""
-    blocks: list[str] = []
-
-    def shape(o, ind: str):
-        if isinstance(o, dict):
-            return {k: shape(v, ind + "  ") for k, v in o.items()}
-        if not isinstance(o, (list, tuple)):
-            return o
-        if not (o and all(type(d) is dict and d and _SCALARS.issuperset(map(type, d.values()))
-                          for d in o)):
-            return [shape(v, ind + "  ") for v in o]
-        # Once each "\x00" is a newline and indent, "},\n" + deep + "{"
-        # occurs only between two of the dicts: no scalar ends in "}".
-        # Each replace looks for a rare first letter, so it skips fast.
-        inner, deep = ind + "  ", ind + "    "
+def _lay(o, ind: str, out: list[str]) -> list[str]:
+    """Append to out the indent=2 layout of o, whose line is indented by ind."""
+    inner = ind + "  "
+    if not (isinstance(o, (dict, list, tuple)) and o):
+        out.append(_encode(o))  # a scalar, {} or []
+    elif isinstance(o, dict):
+        for i, (k, v) in enumerate(o.items()):  # json converts a non-string key
+            key = _encode(k) if isinstance(k, str) else _encode({k: 0})[1:-4]
+            out.append(f"{',' if i else '{'}\n{inner}{key}: ")
+            _lay(v, inner, out)
+        out.append(f"\n{ind}}}")
+    elif all(type(d) is dict and d and _SCALARS.issuperset(map(type, d.values())) for d in o):
+        # a record list is one block: with each "\x00" a newline and indent,
+        # "},\n" + deep + "{" occurs only between two dicts (no scalar ends in "}")
+        deep = inner + "  "
         body = _encode(o)[2:-2].replace("\x00", "\n" + deep)
         body = body.replace(f"}},\n{deep}{{", f"\n{inner}}},\n{inner}{{\n{deep}")
-        blocks.append(f"[\n{inner}{{\n{deep}{body}\n{inner}}}\n{ind}]")
-        return "\x00"
+        out.append(f"[\n{inner}{{\n{deep}{body}\n{inner}}}\n{ind}]")
+    else:
+        for i, v in enumerate(o):
+            out.append(f"{',' if i else '['}\n{inner}")
+            _lay(v, inner, out)
+        out.append(f"\n{ind}]")
+    return out
 
-    pieces = json.dumps(shape(obj, ""), indent=2).split(json.dumps("\x00"))
-    if len(pieces) != len(blocks) + 1:  # a key or string of obj holds the token
-        return json.dumps(obj, indent=2)
-    out = pieces + blocks
-    out[::2], out[1::2] = pieces, blocks
-    return "".join(out)
+
+def _dump(obj) -> str:
+    """obj as the json module writes it with indent=2, byte for byte, in one pass."""
+    return "".join(_lay(obj, "", []))
 
 
 # -- subcommand handlers ----------------------------------------------
@@ -192,15 +192,14 @@ def cmd_delta(args) -> Result:
 
     word = _parse_word_or_index(args.word)
     n, size = args.order, max(len(word), 1)
-    # Delta_t maps a word to at most C(n + size, size) words, one per split of
-    # a degree j <= n over its letters, of at most n + size letters each.
-    # letters = C(n + size, i) * (n + size) grows with i <= min(n, size) and
-    # stops once past the bound, so a huge n or word makes no huge integer
+    # Delta_t multiplies the letters' images left to right; the first i make at most
+    # C(n + i, i) words of n + i letters, so all prefixes hold C(n + size + 1, size) *
+    # (n + size) letters at most. The loop stops past the bound: no huge integer is built
     letters = n + size
-    for i in range(1, min(n, size) + 1):
+    for i in range(1, min(n + 1, size) + 1):
         if letters > MAX_OUTPUT_LETTERS:
             break
-        letters = letters * (n + size + 1 - i) // i
+        letters = letters * (n + size + 2 - i) // i
     if letters > MAX_OUTPUT_LETTERS:
         raise ValueError(f"Delta_{args.var} to order {n} of a length-{len(word)} "
                          f"word may exceed {MAX_OUTPUT_LETTERS} letters")
@@ -317,7 +316,7 @@ def main(argv=None) -> int:
             text = _dump(payload)
         if out:  # the bytes --format json prints, encoded once
             with open(out, "w") as fh:
-                fh.write((text if args.format == "json" else _dump(payload)) + "\n")
+                print(text if args.format == "json" else _dump(payload), file=fh)
         print(text)
     except _falsification() as exc:
         print(f"FAIL  {exc}", file=sys.stderr)

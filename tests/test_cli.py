@@ -97,7 +97,7 @@ class TestDelta:
         assert words == {(0, 0, 0): "x", (1, 0, 0): "xy", (2, 0, 0): "xyy"}
 
     def test_order_below_the_output_bound_runs(self, capsys):
-        # 2001 words, about 4.0e6 letters by the bound (n + 1)^2
+        # 2001 words; the bound's (n + 2)(n + 1) letters are about 4.0e6
         code, out, err = run(capsys, "delta", "--var", "u", "--order", "2000", "x")
         assert (code, err) == (0, "")
         assert len(json.loads(out)["terms"]) == 2001
@@ -369,11 +369,16 @@ HOSTILE = {
     "derive-empty-word": lambda tmp: ["derive", "26", ""],
     "derive-trailing-newline": lambda tmp: ["derive", "1", "xy\n"],
     "delta-trailing-newline": lambda tmp: ["delta", "--var", "u", "--order", "1", "xy\n"],
-    # (n + 1)^2 = 4.0e8, C(2002, 2) * 2002 = 4.0e9 and C(304, 4) * 304 = 1.1e11
-    # letters, all past the bound of 1e8
+    # C(n + size + 1, size) * (n + size) letters: (n + 2)(n + 1) = 4.0e8,
+    # C(2003, 2) * 2002 = 4.0e9, C(305, 4) * 304 = 1.1e11 and, for the
+    # prefixes of a 320000-letter word at order 0, 320001 * 320000 = 1.0e11,
+    # all past the bound of 1e8
     "delta-order-20000-x": lambda tmp: ["delta", "--var", "u", "--order", "20000", "x"],
     "delta-order-2000-xy": lambda tmp: ["delta", "--var", "u", "--order", "2000", "xy"],
     "delta-order-300-xyxy": lambda tmp: ["delta", "--var", "u", "--order", "300", "xyxy"],
+    "delta-order-0-320000-letters": lambda tmp: [
+        "delta", "--var", "u", "--order", "0", "(320000)",
+    ],
     "residual-trailing-newline": lambda tmp: [
         "residual", _write(tmp, json.dumps({"terms": [{"word": "xy\n", "coeff": "1"}]})),
         "--cutoff", "100",
@@ -462,6 +467,27 @@ class TestHostileInput:
         _check_order(eq, top)
         with pytest.raises(ValueError, match=f"order {top + 1} of --eq {eq} exceeds {top},"):
             _check_order(eq, top + 1)
+
+    def test_long_word_at_order_0_exits_2(self, tmp_path):
+        # refused before any letter's image is multiplied, though the output
+        # would be the 320000-letter word alone
+        r = _run_under_1gb(HOSTILE["delta-order-0-320000-letters"](tmp_path))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == ("error: Delta_u to order 0 of a length-320000 word may exceed "
+                            "100000000 letters\n")
+
+    @pytest.mark.parametrize("order, top", [(0, 9999), (1, 583)])
+    def test_delta_bound_cuts_past_the_longest_word(self, capsys, order, top):
+        # C(n + size + 1, size) * (n + size) letters: 10000 * 9999 = 9.999e7 and
+        # 585 * 584 / 2 * 584 = 9.98e7 pass, one more letter exceeds 1e8
+        argv = ("delta", "--var", "u", "--order", str(order))
+        code, out, err = run(capsys, *argv, f"({top})")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["terms"]) == order + 1
+        code, out, err = run(capsys, *argv, f"({top + 1})")
+        assert (code, out) == (2, "")
+        assert err == (f"error: Delta_u to order {order} of a length-{top + 1} word may "
+                       "exceed 100000000 letters\n")
 
     def test_span_weight_bound_cuts_between_18_and_19(self):
         # 18 * 2^15 * 152 = 8.97e7 letters pass, 19 * 2^16 * 170 = 2.12e8 do not
