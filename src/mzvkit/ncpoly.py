@@ -26,6 +26,20 @@ def check_word(w: str) -> str:
     return w
 
 
+def parse_coeff(term: dict, where: str) -> Fraction:
+    """The exact rational term["coeff"] of a JSON term; a ValueError naming
+    `where` if it is missing, a bool, or not a rational."""
+    if "coeff" not in term:
+        raise ValueError(f"{where} needs a 'coeff'")
+    c = term["coeff"]
+    try:
+        if isinstance(c, bool):
+            raise TypeError
+        return Fraction(c)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{where}.coeff is not a rational: {c!r}") from None
+
+
 def is_admissible(w: str) -> bool:
     """True iff w lies in Q + xhy: empty, or starts with x and ends with y."""
     return not w or (w[0] == X and w[-1] == Y)
@@ -248,14 +262,7 @@ class NcPoly:
         for i, t in enumerate(data["terms"]):
             if not isinstance(t, dict) or not isinstance(t.get("word"), str):
                 raise ValueError(f"terms[{i}] needs a 'word' string")
-            if "coeff" not in t:
-                raise ValueError(f"terms[{i}] needs a 'coeff'")
-            try:
-                if isinstance(t["coeff"], bool):
-                    raise TypeError
-                c = Fraction(t["coeff"])
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise ValueError(f"terms[{i}].coeff is not a rational: {t['coeff']!r}") from None
+            c = parse_coeff(t, f"terms[{i}]")
             terms.append((check_word(t["word"]), c))
         return cls(terms)
 

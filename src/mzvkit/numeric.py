@@ -5,21 +5,20 @@ This layer is a sanity net for the symbolic results, not a precision
 instrument; everything is double precision with a fixed summation order,
 so results are deterministic for a fixed cutoff.
 
-One entry point, z_eval (zeta_eval is z_eval of one word), sums and
-checks the tail bounds first, so an index whose bound overflows is refused
-before any partial sum is taken; so is an input whose partial sums would
-take more than MAX_SUM_TERMS terms, cutoff + 1 for each node of the trie
-of reversed indices. One kernel then walks n = 0..cutoff in blocks of
-BLOCK values. In each block it computes the powers n^-k once per distinct
-part, then walks the trie depth-first, so each distinct suffix
-(k_j, ..., k_d) is summed once, from its parent's values. Two sibling
-nodes share one complex buffer per depth, as its real and imaginary lanes,
-so one complex cumulative sum advances both. Each node carries its last
-sum into slot 0 of the next block, so every per-index value is the same
-float as the one-index, full-length nested cumulative sum gives. Memory is
-about (max depth + distinct parts) arrays of BLOCK values, whatever the
-cutoff and the number of indices. The cutoff must be at least 1 and at
-least the largest depth.
+One entry point, z_eval (zeta_eval is z_eval of one word), refuses any
+input before numpy loads: a cutoff below 1 or below the largest depth,
+partial sums of more than MAX_SUM_TERMS terms (cutoff + 1 for each node of
+the trie of reversed indices), then a tail bound that overflows. One
+kernel then walks n = 1..cutoff in blocks of BLOCK values. In each block
+it computes the powers n^-k once per distinct part, then walks the trie
+depth-first, so each distinct suffix (k_j, ..., k_d) is summed once, from
+its parent's values. Two sibling nodes share one complex buffer per
+depth, as its real and imaginary lanes, so one complex cumulative sum
+advances both. Each node carries its last sum into slot 0 of the next
+block, so every per-index value is the same float as the one-index,
+full-length nested cumulative sum gives. Memory is about (max depth +
+distinct parts) arrays of BLOCK values, whatever the cutoff and the number
+of indices.
 """
 
 from __future__ import annotations
@@ -103,46 +102,35 @@ def _schedule(indices):
     return steps, len(ids), {parts: where[node] for parts, node in leaf.items()}
 
 
-def _partial_sums(indices, m: int) -> dict:
-    """Partial sums over m1 <= m of every index in `indices`, as a dict
+def _partial_sums(schedule, m: int) -> dict:
+    """Partial sums over m1 <= m of every index of a _schedule, as a dict
     index -> float: cumulative sums from the innermost part outward along
     the trie of the reversed indices, BLOCK values of n at a time, two
-    sibling nodes per complex cumulative sum (cost O(m) per pair)."""
+    sibling nodes per complex cumulative sum (cost O(m) per pair). The
+    caller has checked m against the depth and the work bound."""
     # imported here so that commands which never evaluate do not load numpy
     import numpy as np
 
-    depth = max(map(len, indices), default=0)
-    if m < depth:
-        raise ValueError("cutoff smaller than depth")
-    steps, nodes, where = _schedule(indices)
-    if (m + 1) * nodes > MAX_SUM_TERMS:
-        raise ValueError(f"{nodes} nested sums of {m + 1} terms: more than "
-                         f"{MAX_SUM_TERMS} terms in all")
+    steps, _, where = schedule
     if not steps:
         return {}
-    distinct = {k for parts in indices for k in parts}
-    width = min(BLOCK, m + 1)
+    depth = 1 + max(d for d, *_ in steps)
+    distinct = {k for _, _, ka, kb in steps for k in (ka, kb) if k is not None}
     # slot 0 of a depth's buffer holds its pair's sums up to n = start - 1,
     # slot 1 + i the sums up to n = start + i
-    bufs = [np.empty(width + 1, dtype=np.complex128) for _ in range(depth)]
-    root = np.ones(width)  # the empty index: 1 at every n
+    bufs = [np.empty(min(BLOCK, m) + 1, dtype=np.complex128) for _ in range(depth)]
     carry = [0j] * len(steps)
     powers = {}
-    for start in range(0, m + 1, BLOCK):
+    for start in range(1, m + 1, BLOCK):
         n = min(BLOCK, m + 1 - start)
         x = np.arange(start, start + n, dtype=np.float64)
-        if start == 0:
-            x[0] = 1.0  # avoid 0**-k; slot 0 is zeroed below
         powers.clear()  # free the last block's powers before making these
         for k in distinct:
             powers[k] = x ** float(-k)
-        if start == 0:
-            for p in powers.values():
-                p[0] = 0.0
         for i, (d, lane, ka, kb) in enumerate(steps):
             buf = bufs[d][:n + 1]
             if lane is None:
-                up = root[:n]
+                up = 1.0  # the empty index: 1 at every n
             else:
                 up = (bufs[d - 1].imag if lane else bufs[d - 1].real)[:n]
             buf[0] = carry[i]
@@ -172,9 +160,9 @@ def zeta_eval(parts, m: int) -> EvalResult:
 
 def z_eval(p: NcPoly, m: int) -> EvalResult:
     """Z extended linearly: constant term maps to its scalar, each admissible
-    word to its zeta value; tail bounds add with |coeff| weights. A tail
-    bound that overflows double precision is a ValueError, raised before
-    any partial sum is taken; so is a value that overflows."""
+    word to its zeta value; tail bounds add with |coeff| weights. Each
+    refusal is a ValueError, and all but an overflowing value come before
+    numpy loads, in the order of the checks below."""
     if not p.admissible_support():
         raise ValueError("outside domain of Z: support not admissible")
     if m < 1:
@@ -183,6 +171,14 @@ def z_eval(p: NcPoly, m: int) -> EvalResult:
         terms = [(word_to_index(w) if w else None, float(c)) for w, c in p.items()]
     except OverflowError:
         raise ValueError("a coefficient does not fit in a float") from None
+    indices = [parts for parts, _ in terms if parts]
+    if m < max(map(len, indices), default=0):
+        raise ValueError("cutoff smaller than depth")
+    schedule = _schedule(indices)
+    nodes = schedule[1]
+    if (m + 1) * nodes > MAX_SUM_TERMS:
+        raise ValueError(f"{nodes} nested sums of {m + 1} terms: more than "
+                         f"{MAX_SUM_TERMS} terms in all")
     tail = 0.0
     try:
         for parts, c in terms:
@@ -195,7 +191,7 @@ def z_eval(p: NcPoly, m: int) -> EvalResult:
             f"tail bound overflows double precision at cutoff {m}:"
             " an index is too deep or a coefficient too large for a bound"
         )
-    sums = _partial_sums([parts for parts, _ in terms if parts], m)
+    sums = _partial_sums(schedule, m)
     value = 0.0
     for parts, c in terms:
         value += c if parts is None else c * sums[parts]

@@ -101,6 +101,8 @@ class Series3:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Series3") -> "Series3":
+        if not isinstance(other, Series3):
+            return NotImplemented
         return Series3._of([
             accumulate(dict(a), b.items()) for a, b in zip(self._layers, other._layers)
         ])

@@ -15,7 +15,9 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .maps import derivation, sum_word, tau
-from .ncpoly import NcPoly, accumulate, accumulate_scaled, admissible_words, check_word
+from .ncpoly import (
+    NcPoly, accumulate, accumulate_scaled, admissible_words, check_word, parse_coeff,
+)
 
 
 class NotInSpanError(Exception):
@@ -79,13 +81,25 @@ class MembershipCertificate(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: dict) -> "MembershipCertificate":
-        return cls(
-            NcPoly.from_dict(data["target"]),
-            [
-                (t["n"], t["word"], Fraction(t["coeff"]))
-                for t in data["combination"]
-            ],
-        )
+        """Inverse of to_dict(). Raises ValueError naming the first missing
+        or ill-typed field, as NcPoly.from_dict does."""
+        if not isinstance(data, dict) or "target" not in data:
+            raise ValueError("certificate needs a 'target'")
+        target = NcPoly.from_dict(data["target"])
+        if not isinstance(data.get("combination"), list):
+            raise ValueError("certificate needs a 'combination' list")
+        combination = []
+        for i, t in enumerate(data["combination"]):
+            where = f"combination[{i}]"
+            if not isinstance(t, dict):
+                raise ValueError(f"{where} is not an object")
+            n, w = t.get("n"), t.get("word")
+            if type(n) is not int or n < 1:
+                raise ValueError(f"{where}.n is not an int >= 1: {n!r}")
+            if not isinstance(w, str) or not set(w) <= set("xy"):
+                raise ValueError(f"{where}.word is not a word over x,y: {w!r}")
+            combination.append((n, w, parse_coeff(t, where)))
+        return cls(target, combination)
 
 
 def span_basis(k: int) -> SpanBasis:

@@ -204,6 +204,20 @@ class TestVerifyCorollary:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_certificate_file_round_trips(self, capsys, tmp_path):
+        # each record of the weight-8 file loads, writes back as itself and
+        # re-verifies
+        path = tmp_path / "certs.json"
+        code, _, _ = run(
+            capsys, "verify", "corollary", "--weight", "8", "--certificates", str(path)
+        )
+        assert code == 0
+        records = json.loads(path.read_text())
+        assert len(records) == 28
+        for r in records:
+            cert = MembershipCertificate.from_dict(r["certificate"])
+            assert cert.to_dict() == r["certificate"] and cert.verify()
+
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -354,6 +368,9 @@ HOSTILE = {
     ],
     "eval-cutoff-1e12": lambda tmp: ["eval", "(2)", "--cutoff", "1000000000000"],
     "eval-cutoff-1e10": lambda tmp: ["eval", "(2)", "--cutoff", "10000000000"],
+    # 10^400 + 1 terms: past the work bound, though a float cannot hold the
+    # cutoff, so the tail bound overflows too
+    "eval-cutoff-1e400": lambda tmp: ["eval", "(2)", "--cutoff", "1" + "0" * 400],
     # (2), (2,1), ..., (2,1,...,1) of depth 11: 21 trie nodes of 10^9 + 1 terms
     "residual-past-work-bound": lambda tmp: [
         "residual",
@@ -737,6 +754,32 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
     assert {m.split(".", 1)[1] for m in loaded if m.startswith("mzvkit.")} == layers | {"cli"}
     assert ("numpy" in loaded) == numpy
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (lambda tmp: ["eval", "(2)", "--cutoff", "0"], "cutoff must be at least 1, got 0"),
+        (lambda tmp: ["eval", "(2,1,1)", "--cutoff", "2"], "cutoff smaller than depth"),
+        (HOSTILE["eval-cutoff-1e400"],
+         f"1 nested sums of 1{'0' * 399}1 terms: more than 10000000000 terms in all"),
+        (HOSTILE["residual-past-work-bound"],
+         "21 nested sums of 1000000001 terms: more than 10000000000 terms in all"),
+        (lambda tmp: ["eval", _deep_index(200), "--cutoff", "1000"],
+         "tail bound overflows double precision at cutoff 1000: an index is too deep"
+         " or a coefficient too large for a bound"),
+    ],
+    ids=["cutoff-0", "below-depth", "eval-work-bound", "residual-work-bound", "tail-bound"],
+)
+def test_refusal_loads_no_numpy(tmp_path, argv, refused):
+    # z_eval makes every refusal of its input, in order, before numpy loads
+    r = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert (r.returncode, r.stderr) == (2, f"error: {refused}\n")
+    loaded = set(r.stdout.splitlines()[-1].split())
+    assert "mzvkit.numeric" in loaded and "numpy" not in loaded
 
 
 _LAZY_NAMES = """\

@@ -122,24 +122,25 @@ class TestSuffixTrieKernel:
     def test_kernel_is_flat_at_any_depth(self):
         # depth 1200 is past the recursion limit; the shallow indices are
         # nodes on the deep ones' path through the trie
-        sums = numeric._partial_sums(DEEP, 1300)
+        sums = numeric._partial_sums(numeric._schedule(DEEP), 1300)
         assert sums == {parts: nested_cumsum(parts, 1300) for parts in DEEP}
 
     @pytest.mark.parametrize("block", [64, 100])
-    @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 5000])
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129, 5000])
     @pytest.mark.parametrize("p", _combinations())
     def test_block_boundaries_are_exact(self, monkeypatch, block, m, p):
-        # the last sum of each block carries into slot 0 of the next
+        # the last sum of each block carries into slot 0 of the next; blocks
+        # start at n = 1, so under BLOCK 64 the edges are m = 1, 64, 65, 128, 129
         monkeypatch.setattr(numeric, "BLOCK", block)
         indices = [word_to_index(w) for w in p.terms if w]
-        sums = numeric._partial_sums(indices, m)
+        sums = numeric._partial_sums(numeric._schedule(indices), m)
         assert sums == {parts: nested_cumsum(parts, m) for parts in indices}
 
     @pytest.mark.parametrize("block", [64, 100])
     @pytest.mark.parametrize("m", [1300, 5000])
     def test_block_boundaries_are_exact_at_depth(self, monkeypatch, block, m):
         monkeypatch.setattr(numeric, "BLOCK", block)
-        sums = numeric._partial_sums(DEEP, m)
+        sums = numeric._partial_sums(numeric._schedule(DEEP), m)
         assert sums == {parts: nested_cumsum(parts, m) for parts in DEEP}
 
     def test_schedule_pairs_siblings_in_pre_order(self):
@@ -161,7 +162,7 @@ class TestSuffixTrieKernel:
     def test_memory_is_flat_in_the_cutoff(self):
         tracemalloc.start()
         try:
-            numeric._partial_sums([(2, 1, 1)], 10**6)
+            numeric._partial_sums(numeric._schedule([(2, 1, 1)]), 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -47,6 +47,14 @@ class TestArithmetic:
             p = p * xu
         assert p.is_zero()
 
+    @pytest.mark.parametrize("other", [1, NcPoly.one()], ids=["int", "ncpoly"])
+    def test_foreign_operand_is_type_error(self, other):
+        # NotImplemented from Series3, so Python raises TypeError
+        with pytest.raises(TypeError):
+            Series3.scalar(1, 2) + other
+        with pytest.raises(TypeError):
+            Series3.scalar(1, 2) - other
+
     def test_json_roundtrip(self):
         f = one(2) + Series3.single(P("xy", Fraction(-1, 3)), (1, 0, 1), 2)
         assert f.to_dict() == {"order": 2, "terms": [

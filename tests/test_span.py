@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -474,6 +475,47 @@ class TestCorollary:
         assert again.target == cert.target
         assert again.combination == cert.combination
         assert again.verify()
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("n", "1", "combination[0].n"),
+            ("n", 0, "combination[0].n"),
+            ("n", True, "combination[0].n"),
+            ("n", None, "combination[0].n"),
+            ("word", "xz", "combination[0].word"),
+            ("word", 3, "combination[0].word"),
+            ("coeff", None, "combination[0] needs a 'coeff'"),
+            ("coeff", "1/0", "combination[0].coeff"),
+            ("coeff", True, "combination[0].coeff"),
+        ],
+        ids=["n-str", "n-zero", "n-bool", "n-missing", "word-xz", "word-int",
+             "coeff-missing", "coeff-1/0", "coeff-bool"],
+    )
+    def test_from_dict_names_bad_term_field(self, key, value, field):
+        # value None removes the key
+        data = corollary_check(5, 2, 2).to_dict()
+        term = data["combination"][0]
+        del term[key]
+        if value is not None:
+            term[key] = value
+        with pytest.raises(ValueError, match=re.escape(field)):
+            MembershipCertificate.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ([], "target"),
+            ({"combination": []}, "target"),
+            ({"target": {"terms": []}}, "combination"),
+            ({"target": {"terms": []}, "combination": {}}, "combination"),
+            ({"target": {"terms": []}, "combination": ["xy"]}, "combination[0]"),
+        ],
+        ids=["list", "no-target", "no-combination", "combination-dict", "term-str"],
+    )
+    def test_from_dict_names_bad_field(self, data, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            MembershipCertificate.from_dict(data)
 
     def test_falsification_aborts_loudly(self, monkeypatch):
         import mzvkit.span as span_mod
