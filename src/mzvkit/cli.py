@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
@@ -194,13 +195,11 @@ def cmd_delta(args) -> Result:
     n, size = args.order, max(len(word), 1)
     # Delta_t multiplies the letters' images left to right; the first i make at most
     # C(n + i, i) words of n + i letters, so all prefixes hold C(n + size + 1, size) *
-    # (n + size) letters at most. The loop stops past the bound: no huge integer is built
-    letters = n + size
-    for i in range(1, min(n + 1, size) + 1):
-        if letters > MAX_OUTPUT_LETTERS:
-            break
-        letters = letters * (n + size + 2 - i) // i
-    if letters > MAX_OUTPUT_LETTERS:
+    # (n + size) letters at most. That C is C(n + size + 1, k), k = min(n + 1, size), at
+    # least 2^k as n + size + 1 >= 2k: k > 27 exceeds the bound without a huge comb.
+    # A negative order is refused by the library (exit 2)
+    k = min(n + 1, size)
+    if n >= 0 and (k > 27 or comb(n + size + 1, k) * (n + size) > MAX_OUTPUT_LETTERS):
         raise ValueError(f"Delta_{args.var} to order {n} of a length-{len(word)} "
                          f"word may exceed {MAX_OUTPUT_LETTERS} letters")
     return 0, delta_subst(args.var, NcPoly.word(word), n).to_dict(), None

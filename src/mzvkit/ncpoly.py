@@ -26,16 +26,22 @@ def check_word(w: str) -> str:
     return w
 
 
-def parse_coeff(term: dict, where: str) -> Fraction:
-    """The exact rational term["coeff"] of a JSON term; a ValueError naming
-    `where` if it is missing, a bool, or not a rational."""
+def parse_term(term, where: str) -> tuple[str, Fraction]:
+    """(word, coeff) of a JSON term {"word": ..., "coeff": ...}; a ValueError
+    naming `where` and the field if term is not an object, its word not a
+    string over x,y, or its coeff missing, a bool, or not a rational."""
+    if not isinstance(term, dict):
+        raise ValueError(f"{where} is not an object")
+    w = term.get("word")
+    if not isinstance(w, str) or not _WORD_RE.fullmatch(w):
+        raise ValueError(f"{where}.word is not a word over x,y: {w!r}")
     if "coeff" not in term:
         raise ValueError(f"{where} needs a 'coeff'")
     c = term["coeff"]
     try:
         if isinstance(c, bool):
             raise TypeError
-        return Fraction(c)
+        return w, Fraction(c)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{where}.coeff is not a rational: {c!r}") from None
 
@@ -254,17 +260,11 @@ class NcPoly:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NcPoly":
-        """Inverse of to_dict(). Raises ValueError naming the first missing
-        or ill-typed field."""
+        """Inverse of to_dict(). Raises ValueError naming the first bad field:
+        'terms', or terms[i] and its field as parse_term names them."""
         if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
             raise ValueError("polynomial needs a 'terms' list")
-        terms = []
-        for i, t in enumerate(data["terms"]):
-            if not isinstance(t, dict) or not isinstance(t.get("word"), str):
-                raise ValueError(f"terms[{i}] needs a 'word' string")
-            c = parse_coeff(t, f"terms[{i}]")
-            terms.append((check_word(t["word"]), c))
-        return cls(terms)
+        return cls([parse_term(t, f"terms[{i}]") for i, t in enumerate(data["terms"])])
 
     def __repr__(self) -> str:
         return f"NcPoly({self.render()})"

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .maps import derivation, sum_word, tau
 from .ncpoly import (
-    NcPoly, accumulate, accumulate_scaled, admissible_words, check_word, parse_coeff,
+    NcPoly, accumulate, accumulate_scaled, admissible_words, check_word, parse_term,
 )
 
 
@@ -81,24 +81,25 @@ class MembershipCertificate(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: dict) -> "MembershipCertificate":
-        """Inverse of to_dict(). Raises ValueError naming the first missing
-        or ill-typed field, as NcPoly.from_dict does."""
+        """Inverse of to_dict(). Raises ValueError naming the first bad field:
+        'target' (NcPoly.from_dict's error, prefixed 'target: '), 'combination',
+        or combination[i] and its field as parse_term names them, or its .n."""
         if not isinstance(data, dict) or "target" not in data:
             raise ValueError("certificate needs a 'target'")
-        target = NcPoly.from_dict(data["target"])
+        try:
+            target = NcPoly.from_dict(data["target"])
+        except ValueError as exc:
+            raise ValueError(f"target: {exc}") from None
         if not isinstance(data.get("combination"), list):
             raise ValueError("certificate needs a 'combination' list")
         combination = []
         for i, t in enumerate(data["combination"]):
             where = f"combination[{i}]"
-            if not isinstance(t, dict):
-                raise ValueError(f"{where} is not an object")
-            n, w = t.get("n"), t.get("word")
+            w, c = parse_term(t, where)
+            n = t.get("n")
             if type(n) is not int or n < 1:
                 raise ValueError(f"{where}.n is not an int >= 1: {n!r}")
-            if not isinstance(w, str) or not set(w) <= set("xy"):
-                raise ValueError(f"{where}.word is not a word over x,y: {w!r}")
-            combination.append((n, w, parse_coeff(t, where)))
+            combination.append((n, w, c))
         return cls(target, combination)
 
 
@@ -130,12 +131,12 @@ class SpanSolver:
     of the images of generators 0..j-1, whatever word a column pivots at.
     So the pivot generators do not depend on the pivot word, and a
     certificate, a combination of those independent generators, is unique.
-    The word sets only the fill-in: the least-used word fills in less than
-    the largest word (on one machine, weight 12 builds in 1.0 s instead of
-    1.6 s, weight 13 in 6.3 s instead of 8.5 s), and that in far less than
-    the least word. _reduce clears the pivots in creation order, which is
-    right for any pivot word: each pivot row was reduced against every
-    earlier one.
+    The word sets only the fill-in: a pivot row is merged into each later
+    column that holds its word, and a word few images contain is held by
+    few, so the least-used word fills in less than the largest word, and
+    that in far less than the least word. _reduce clears the pivots in
+    creation order, which is right for any pivot word: each pivot row was
+    reduced against every earlier one.
 
     Elimination is fraction-free over Python ints (Bareiss-style) on
     augmented rows: one integer dict per column whose word keys hold the

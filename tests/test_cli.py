@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mzvkit
-from mzvkit.cli import _check_order, _dump, _span_weight, main
+from mzvkit.cli import MAX_OUTPUT_LETTERS, _check_order, _dump, _span_weight, main
 from mzvkit.ncpoly import NcPoly
 from mzvkit.span import MembershipCertificate, span_basis
 
@@ -312,7 +312,8 @@ class TestEvalAndResidual:
 
     @pytest.mark.parametrize(
         "data, field",
-        [({}, "terms"), ({"terms": [{"word": "xy"}]}, "coeff"), ([], "terms")],
+        [({}, "terms"), ({"terms": [{"word": "xy"}]}, "coeff"), ([], "terms"),
+         ({"terms": [{"word": "xz", "coeff": "1"}]}, "terms[0].word")],
     )
     def test_malformed_residual_input_is_usage_error(self, capsys, tmp_path, data, field):
         path = tmp_path / "bad.json"
@@ -505,6 +506,33 @@ class TestHostileInput:
         assert (code, out) == (2, "")
         assert err == (f"error: Delta_u to order {order} of a length-{top + 1} word may "
                        "exceed 100000000 letters\n")
+
+    def test_delta_bound_matches_the_prefix_product_loop(self, capsys, monkeypatch):
+        # the closed form C(n + size + 1, min(n + 1, size)) * (n + size) against the
+        # running product over the prefixes that it replaced, which stopped once past
+        # the bound; delta_subst is stubbed, so the bound alone sets the exit code
+        import mzvkit.series as series
+
+        monkeypatch.setattr(series, "delta_subst", lambda var, p, order: NcPoly.zero())
+
+        def loop_refuses(n, size):
+            letters = n + size
+            for i in range(1, min(n + 1, size) + 1):
+                if letters > MAX_OUTPUT_LETTERS:
+                    break
+                letters = letters * (n + size + 2 - i) // i
+            return letters > MAX_OUTPUT_LETTERS
+
+        orders = [-3, -1, 0, 1, 2, 3, 4, 5, 8, 13, 26, 27, 28, 100, 583, 584, 2000, 9999,
+                  10**4, 10**8, 10**30]
+        sizes = [1, 2, 3, 4, 5, 8, 13, 26, 27, 28, 29, 100, 154, 155, 583, 584, 9999, 10000]
+        refused = 0
+        for n in orders:
+            for size in sizes:
+                code, _, _ = run(capsys, "delta", "--var", "u", "--order", str(n), "x" * size)
+                assert code == (2 if loop_refuses(n, size) else 0), (n, size)
+                refused += code == 2
+        assert 0 < refused < len(orders) * len(sizes)
 
     def test_span_weight_bound_cuts_between_18_and_19(self):
         # 18 * 2^15 * 152 = 8.97e7 letters pass, 19 * 2^16 * 170 = 2.12e8 do not

@@ -149,6 +149,7 @@ class TestSerialization:
             ({"terms": [{"word": "xy", "coeff": "1/0"}]}, "coeff"),
             ({"terms": [{"word": "xy", "coeff": None}]}, "coeff"),
             ({"terms": [{"word": "xay", "coeff": "1"}]}, "'xay'"),
+            ({"terms": [{"word": "xz", "coeff": "1"}]}, "terms[0].word"),
         ],
     )
     def test_from_dict_names_bad_field(self, data, field):

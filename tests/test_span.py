@@ -510,8 +510,12 @@ class TestCorollary:
             ({"target": {"terms": []}}, "combination"),
             ({"target": {"terms": []}, "combination": {}}, "combination"),
             ({"target": {"terms": []}, "combination": ["xy"]}, "combination[0]"),
+            ({"target": [], "combination": []}, "target: "),
+            ({"target": {"terms": [{"word": "xz", "coeff": "1"}]}, "combination": []},
+             "target: terms[0].word"),
         ],
-        ids=["list", "no-target", "no-combination", "combination-dict", "term-str"],
+        ids=["list", "no-target", "no-combination", "combination-dict", "term-str",
+             "target-list", "target-word-xz"],
     )
     def test_from_dict_names_bad_field(self, data, field):
         with pytest.raises(ValueError, match=re.escape(field)):

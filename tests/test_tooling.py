@@ -1,5 +1,6 @@
 """Scripts outside the package that import it: the traced benchmark child
-must find every library name it wraps, and every demo must run."""
+must find every library name it wraps, every demo must run, and the tier-1
+workflow's certificate check must pass a good file and fail a bad one."""
 
 import json
 import os
@@ -10,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import mzvkit
+from mzvkit.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def _env():
@@ -59,3 +62,32 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=_env(),
     )
     assert r.returncode == 0, r.stderr
+
+
+def test_workflow_certificate_check(tmp_path):
+    # the workflow's own command line, with its $certs and $k, run from the
+    # repository root as the workflow runs it, on weight-5 certificates
+    [command] = [line.strip() for line in WORKFLOW.read_text().splitlines()
+                 if line.strip().startswith("PYTHONPATH=src:perfbench ")]
+    assert "check_certificates" in command
+    certs = tmp_path / "certs.json"
+    assert cli_main(["verify", "corollary", "--weight", "5", "--certificates", str(certs)]) == 0
+    # "python" is this interpreter
+    path = os.pathsep.join([str(Path(sys.executable).parent), os.environ["PATH"]])
+
+    def check():
+        return subprocess.run(["bash", "-c", command], capture_output=True, text=True,
+                              cwd=ROOT, env=dict(os.environ, PATH=path, certs=str(certs), k="5"))
+
+    r = check()
+    assert r.returncode == 0, r.stderr
+    assert "span.cert_terms" in r.stdout
+    # two certificates with nonzero targets swapped: each still verifies, for
+    # the other's case
+    data = json.loads(certs.read_text())
+    i, j = [n for n, e in enumerate(data) if e["certificate"]["target"]["terms"]][:2]
+    data[i]["certificate"], data[j]["certificate"] = data[j]["certificate"], data[i]["certificate"]
+    certs.write_text(json.dumps(data))
+    r = check()
+    assert r.returncode == 1
+    assert "another target" in r.stderr
