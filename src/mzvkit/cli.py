@@ -22,13 +22,18 @@ DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
 # The largest --order of each identity, whose peak RSS stays under 1 GB.
 # Peak RSS of the process by order, and its growth:
-#   eq 3:   81, 172, 456 MB at 12, 13, 14; 2.1-2.7x per order, so 15
-#           would take about 1.2 GB;
-#   eq 2:   38, 111, 404, 793 MB at 16, 18, 20, 21; about 1.9x per order,
-#           so 22 would take about 1.5 GB;
+#   eq 3:   173, 385, 862 MB at 14, 15, 16; 2.2x per order, so 17
+#           would take about 1.9 GB;
+#   eq 2:   59, 193, 373, 731, 1389 MB at 18, 20, 21, 22, 23; 1.9x per
+#           order, so 23, measured, exceeds 1 GB;
 #   lemmas: 17, 30, 112, 683, 998 MB at 120, 240, 480, 960, 1100; about
 #           6x per doubling (N^2.6), so 1121 would reach 1 GB.
-MAX_ORDER = {"2": 21, "3": 14, "lemmas": 1100}
+MAX_ORDER = {"2": 22, "3": 16, "lemmas": 1100}
+# The largest verify corollary --weight whose peak RSS stays under 1 GB.
+# Weight 15, the largest measured, took 281 s and 369 MB in one process.
+# Weight 16 is a model, not a measurement: memory grew 3x from 14 to 15,
+# so 16 would take about 1.1 GB.
+MAX_COROLLARY_WEIGHT = 15
 # an index of larger weight, and a derive, delta or span output that could
 # be longer, is refused before any word is built
 MAX_OUTPUT_LETTERS = 10**8
@@ -147,6 +152,9 @@ def cmd_verify_theorem(args) -> Result:
 
 def cmd_verify_corollary(args) -> Result:
     k = _span_weight(args.weight)
+    if k > MAX_COROLLARY_WEIGHT:
+        raise ValueError(f"weight {k} of verify corollary exceeds {MAX_COROLLARY_WEIGHT}, "
+                         "the largest whose peak memory stays under 1 GB")
     from . import span
 
     if args.m is None and args.l is None:

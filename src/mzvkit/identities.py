@@ -56,6 +56,10 @@ class _Blocks:
     with var = t every factor, and any product of them, is the Delta_t-image
     of the same expression built on _Blocks(order): only x and y change, to
     delta_on_series(t, x) and delta_on_series(t, y).
+
+    Truncated products are associative, so the grouping of each product
+    chain below is a cost choice (small factors first, the dense inverse
+    once, at the end), and the left-to-right form is the test oracle.
     """
 
     def __init__(self, order: int, var: str | None = None):
@@ -86,28 +90,28 @@ class _Blocks:
 
 def _zeta_base(b: _Blocks) -> Series3:
     """x/(1-xu) y."""
-    return b.x * b.inv("xu") * b.y
+    return b.x * (b.inv("xu") * b.y)
 
 
 def conjecture_lhs_series(order: int) -> Series3:
     """x/(1-xu) y 1/(1-xw-yv) (1-xw): the generating function whose
     coefficient at u^(m-1) v^(l-1) w^(k-m-l) is sum_word(k, m, l)."""
     b = _Blocks(order)
-    return _zeta_base(b) * b.inv("xw", "yv") * b.lin("xw")
+    return _zeta_base(b) * (b.inv("xw", "yv") * b.lin("xw"))
 
 
 def conjecture_lhs_split_form(order: int) -> Series3:
     """The equivalent split form x/(1-xu)y + x/(1-xu)y 1/(1-xw-yv) yv."""
     b = _Blocks(order)
     head = _zeta_base(b)
-    return head + head * b.inv("xw", "yv") * b.y * b.v
+    return head + head * (b.inv("xw", "yv") * (b.y * b.v))
 
 
 def duality_k1_lhs(order: int) -> Series3:
     """x/(1-xu) y 1/(1-xw-yv) y - x 1/(1-xv-yw) x y/(1-yu)."""
     b = _Blocks(order)
-    t1 = _zeta_base(b) * b.inv("xw", "yv") * b.y
-    t2 = b.x * b.inv("xv", "yw") * b.x * b.y * b.inv("yu")
+    t1 = _zeta_base(b) * (b.inv("xw", "yv") * b.y)
+    t2 = (b.x * b.inv("xv", "yw")) * ((b.x * b.y) * b.inv("yu"))
     return t1 - t2
 
 
@@ -124,15 +128,15 @@ def duality_gf(order: int) -> Series3:
 def _inner1(b: _Blocks) -> Series3:
     """x 1/kernel y 1/(1-xw) (1-xw-yw): (Delta_v - Delta_w) of it is the
     numerator of the k1 identity."""
-    return b.x * geometric_inverse(b.kernel()) * b.y * b.inv("xw") * b.lin("xw", "yw")
+    return b.x * (geometric_inverse(b.kernel()) * (b.y * (b.inv("xw") * b.lin("xw", "yw"))))
 
 
 def _inner2(b: _Blocks) -> Series3:
     """x 1/(kernel-yw) (1-xu-yu) x/(1-xu) y: the (1 - Delta_u) term of the
     k1 identity."""
-    return (
-        b.x * geometric_inverse(b.kernel("yw")) * b.lin("xu", "yu")
-        * b.x * b.inv("xu") * b.y
+    return b.x * (
+        geometric_inverse(b.kernel("yw"))
+        * ((b.lin("xu", "yu") * b.x) * (b.inv("xu") * b.y))
     )
 
 

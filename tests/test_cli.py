@@ -463,12 +463,37 @@ class TestHostileInput:
         )
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "corollary", "--weight", "16"],
+            ["verify", "corollary", "--weight", "18", "--m", "1", "--l", "2"],
+        ],
+        ids=["corollary", "corollary-m-l"],
+    )
+    def test_infeasible_corollary_weight_exits_2(self, argv):
+        # within the letters bound, past the memory model's weight 15; refused
+        # before any generator is built
+        r = _run_under_1gb(argv)
+        assert (r.returncode, r.stdout) == (2, "")
+        k = argv[3]
+        assert r.stderr == (f"error: weight {k} of verify corollary exceeds 15, "
+                            "the largest whose peak memory stays under 1 GB\n")
+
+    def test_infeasible_corollary_weight_loads_no_span(self, tmp_path):
+        r = subprocess.run(
+            [sys.executable, "-c", _LOADED_AFTER_MAIN, "verify", "corollary", "--weight", "16"],
+            capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+        )
+        assert r.returncode == 2
+        assert "mzvkit.span" not in r.stdout.split()
+
+    @pytest.mark.parametrize(
         "case, refused",
         [
-            ("theorem-eq3-order-40", "order 40 of --eq 3 exceeds 14"),
-            ("theorem-eq2-order-60", "order 60 of --eq 2 exceeds 21"),
+            ("theorem-eq3-order-40", "order 40 of --eq 3 exceeds 16"),
+            ("theorem-eq2-order-60", "order 60 of --eq 2 exceeds 22"),
             ("theorem-lemmas-order-100000", "order 100000 of --eq lemmas exceeds 1100"),
-            ("theorem-order-1e9", "order 1000000000 of --eq all exceeds 14"),
+            ("theorem-order-1e9", "order 1000000000 of --eq all exceeds 16"),
         ],
     )
     def test_infeasible_theorem_order_exits_2(self, tmp_path, case, refused):
@@ -477,7 +502,7 @@ class TestHostileInput:
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr == f"error: {refused}, the largest whose peak memory stays under 1 GB\n"
 
-    @pytest.mark.parametrize("eq, top", [("2", 21), ("3", 14), ("lemmas", 1100), ("all", 14)])
+    @pytest.mark.parametrize("eq, top", [("2", 22), ("3", 16), ("lemmas", 1100), ("all", 16)])
     def test_theorem_order_bound_is_the_stated_one(self, eq, top):
         # the largest orders of cli.MAX_ORDER's memory model; --eq all takes
         # the smallest

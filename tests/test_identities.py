@@ -17,7 +17,7 @@ from mzvkit.identities import (
 )
 from mzvkit.maps import tau
 from mzvkit.ncpoly import NcPoly
-from mzvkit.series import VAR_AXIS, Series3, delta_on_series
+from mzvkit.series import VAR_AXIS, Series3, delta_on_series, geometric_inverse
 
 
 def P(w, c=1):
@@ -246,6 +246,62 @@ class TestFactorwiseDelta:
         f = _LEMMA_FACTORS.get(build) or getattr(identities, build)
         expanded = delta_on_series(var, f(identities._Blocks(order)))
         assert f(identities._Blocks(order, var)) == expanded
+
+
+# Each regrouped builder, as the paper writes it: its factors multiplied
+# left to right (Python's * associates to the left), then the same with two
+# adjacent factors that do not commute swapped.
+_LEFT_TO_RIGHT = {
+    "_zeta_base": lambda b: (
+        b.x * b.inv("xu") * b.y,
+        b.x * b.y * b.inv("xu"),
+    ),
+    "conjecture_lhs_series": lambda b: (
+        b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.lin("xw"),
+        b.x * b.inv("xu") * b.inv("xw", "yv") * b.y * b.lin("xw"),
+    ),
+    "conjecture_lhs_split_form": lambda b: (
+        b.x * b.inv("xu") * b.y + b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y * b.v,
+        b.x * b.y * b.inv("xu") + b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y * b.v,
+    ),
+    "duality_k1_lhs": lambda b: (
+        b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y
+        - b.x * b.inv("xv", "yw") * b.x * b.y * b.inv("yu"),
+        b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y
+        - b.x * b.x * b.inv("xv", "yw") * b.y * b.inv("yu"),
+    ),
+    "_inner1": lambda b: (
+        b.x * geometric_inverse(b.kernel()) * b.y * b.inv("xw") * b.lin("xw", "yw"),
+        b.x * geometric_inverse(b.kernel()) * b.inv("xw") * b.y * b.lin("xw", "yw"),
+    ),
+    "_inner2": lambda b: (
+        b.x * geometric_inverse(b.kernel("yw")) * b.lin("xu", "yu") * b.x * b.inv("xu") * b.y,
+        b.x * geometric_inverse(b.kernel("yw")) * b.x * b.lin("xu", "yu") * b.inv("xu") * b.y,
+    ),
+}
+
+
+class TestGroupingMatchesLeftToRight:
+    # Truncated products are associative, so each builder's grouping must
+    # give exactly the left-to-right product. A builder that takes only an
+    # order is run on Delta_var blocks by patching _Blocks.
+    @pytest.mark.parametrize("order", range(1, 8))
+    @pytest.mark.parametrize("var", [None, "u", "v", "w"])
+    @pytest.mark.parametrize("name", _LEFT_TO_RIGHT)
+    def test_equals_left_to_right_and_not_swapped(self, monkeypatch, name, var, order):
+        import mzvkit.identities as identities
+
+        blocks = identities._Blocks
+        b = blocks(order, var)
+        oracle, swapped = _LEFT_TO_RIGHT[name](b)
+        if name.startswith("_"):
+            built = getattr(identities, name)(b)
+        else:
+            monkeypatch.setattr(identities, "_Blocks", lambda n: blocks(n, var))
+            built = getattr(identities, name)(order)
+        assert built == oracle
+        # the control: a slip in the factor order would be caught
+        assert swapped != oracle
 
 
 class TestProofSteps:
