@@ -12,13 +12,16 @@ the trie of reversed indices), then a tail bound that overflows. One
 kernel then walks n = 1..cutoff in blocks of BLOCK values. In each block
 it computes the powers n^-k once per distinct part, then walks the trie
 depth-first, so each distinct suffix (k_j, ..., k_d) is summed once, from
-its parent's values. Two sibling nodes share one complex buffer per
-depth, as its real and imaginary lanes, so one complex cumulative sum
-advances both. Each node carries its last sum into slot 0 of the next
-block, so every per-index value is the same float as the one-index,
-full-length nested cumulative sum gives. Memory is about (max depth +
-distinct parts) arrays of BLOCK values, whatever the cutoff and the number
-of indices.
+its parent's values. Each step fills the real and imaginary lanes of one
+complex buffer with two nodes, so one complex cumulative sum advances
+both. Nodes with children pair with their siblings in one buffer per
+depth, which stays in place until their subtrees are done; leaves need
+only their last sum, so they fill the lanes those pairs leave empty, or
+pair with each other in one scratch buffer. Each node carries its last
+sum into slot 0 of the next block, so every per-index value is the same
+float as the one-index, full-length nested cumulative sum gives. Memory is
+about (max depth + 1 + distinct parts) arrays of BLOCK values, whatever
+the cutoff and the number of indices.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ class EvalResult(NamedTuple):
     tail_bound: float
 
 
-# values of n summed at a time: a depth's complex buffer of BLOCK + 1
-# entries and the block's powers stay in a core's L2 cache
+# values of n summed at a time: a complex buffer of BLOCK + 1 entries
+# and the block's powers stay in a core's L2 cache
 BLOCK = 16384
 # z_eval refuses an input whose partial sums would take more than this many
 # terms: cutoff + 1 per node of the trie of reversed indices
@@ -54,7 +57,10 @@ def zeta_tail_bound(parts, m: int) -> float:
         I_j = (1 + ln M)^j M^(1-k1)/(k1-1) + j/(k1-1) * I_{j-1}.
 
     The leading term is (1 + ln M)^(d-1) M^(1-k1)/(k1-1); the lower-order
-    terms are needed for this to be a true upper bound.
+    terms are needed for this to bound the truncation error. It covers
+    truncation only, not the rounding of the double-precision sums: the
+    Z-value of an exact zero can exceed it (duality_target(9, 5, 4) at
+    M = 200000 gives 4.95e-17 against a bound of 5.13e-18).
     """
     k1, d = parts[0], len(parts)
     head = m ** (1 - k1) / (k1 - 1)
@@ -66,15 +72,25 @@ def zeta_tail_bound(parts, m: int) -> float:
 
 
 def _schedule(indices):
-    """The trie of the reversed indices, as a pre-order list of steps with
-    one step per pair of sibling nodes.
+    """The trie of the reversed indices, as a list of steps that each fill
+    the two lanes (real, imaginary) of one complex buffer.
 
-    A step (depth, lane, part_a, part_b) fills the two lanes of the
-    depth's buffer with two siblings; part_b is None for an odd one. Their
-    parent sits in `lane` (0 real, 1 imaginary) of the buffer one depth up,
-    or is the root when `lane` is None. Pre-order keeps a parent's buffer
-    in place until all its descendants are done. Returns the steps, the
-    number of nodes, and index -> (step, lane) of its node."""
+    A step is (out, lane_a, lane_b). Each lane is (src, part): src is the
+    (depth, 0 real | 1 imaginary) lane that holds the node's parent, or
+    None when the parent is the root, and the lane then sums the powers
+    themselves. lane_b is None when it is left empty. out is the depth of
+    the buffer the step writes, or None for the scratch buffer.
+
+    Internal nodes (nodes with children) are paired with their siblings
+    in pre-order, one buffer per depth, so a parent's buffer stays in
+    place until its subtree is done. A leaf needs only its last value:
+    the leaf children of a step's nodes go into a pool, and a step with
+    one internal node takes a pooled leaf, the one whose parent sits
+    deepest, into its second lane. Before a depth's buffer is written
+    again, the leaves still pooled under it are paired with each other in
+    scratch steps; an odd one takes another pooled leaf, whose parent is
+    still in place. Returns the steps, the number of nodes, and index ->
+    (step, lane) of its node."""
     ids, leaf = {}, {}  # (parent node, part) -> node; the root is node 0
     for parts in indices:
         node = 0
@@ -85,20 +101,54 @@ def _schedule(indices):
     for (parent, k), node in sorted(ids.items()):
         children.setdefault(parent, []).append((k, node))
 
-    def pairs(node, depth, lane):
-        kids = children.get(node, [])
-        return [(depth, lane, kids[i:i + 2]) for i in range(0, len(kids), 2)]
-
+    # a lane to fill is (src, part, node)
     steps, where = [], {}
-    # an explicit stack, so that depth is not bound by the recursion limit
-    stack = pairs(0, 0, None)[::-1]
-    while stack:
-        depth, lane, pair = stack.pop()
-        for i, (_, node) in enumerate(pair):
+    # (depth, one or two sibling internal nodes), an explicit stack, so
+    # that depth is not bound by the recursion limit
+    stack = []
+    pool = {}  # depth of the buffer holding the parent (-1 root) -> leaves
+
+    def emit(out, pair):
+        for i, (_, _, node) in enumerate(pair):
             where[node] = (len(steps), i)
-        steps.append((depth, lane, pair[0][0], pair[1][0] if len(pair) == 2 else None))
-        for i in reversed(range(len(pair))):
-            stack.extend(pairs(pair[i][1], depth + 1, i)[::-1])
+        steps.append((out, pair[0][:2], pair[1][:2] if len(pair) == 2 else None))
+
+    def take():
+        deepest = max(pool)  # the buffer to be written again soonest
+        leaves = pool[deepest]
+        leaf = leaves.pop()
+        if not leaves:
+            del pool[deepest]
+        return leaf
+
+    def flush(depth):
+        leaves = pool.pop(depth, [])
+        for i in range(0, len(leaves), 2):
+            pair = leaves[i:i + 2]
+            if len(pair) == 1 and pool:
+                pair.append(take())
+            emit(None, pair)
+
+    def expand(depth, src, node):
+        # node's children sit at depth; node itself in src, at depth - 1
+        kids = [(src, k, kid) for k, kid in children.get(node, [])]
+        inner = [lane for lane in kids if lane[2] in children]
+        leaves = [lane for lane in kids if lane[2] not in children]
+        if leaves:
+            pool.setdefault(depth - 1, []).extend(leaves)
+        stack.extend((depth, inner[i:i + 2]) for i in reversed(range(0, len(inner), 2)))
+
+    expand(0, None, 0)
+    while stack:
+        depth, pair = stack.pop()
+        flush(depth)
+        if len(pair) == 1 and pool:
+            pair.append(take())
+        emit(depth, pair)
+        for lane in reversed(range(len(pair))):
+            expand(depth + 1, (depth, lane), pair[lane][2])
+    while pool:
+        flush(max(pool))
     return steps, len(ids), {parts: where[node] for parts, node in leaf.items()}
 
 
@@ -106,19 +156,22 @@ def _partial_sums(schedule, m: int) -> dict:
     """Partial sums over m1 <= m of every index of a _schedule, as a dict
     index -> float: cumulative sums from the innermost part outward along
     the trie of the reversed indices, BLOCK values of n at a time, two
-    sibling nodes per complex cumulative sum (cost O(m) per pair). The
-    caller has checked m against the depth and the work bound."""
+    nodes per complex cumulative sum (cost O(m) per step). Each lane is
+    its parent's lane times the powers, summed in order with the carry in
+    slot 0, and the real and imaginary parts add independently, so every
+    value is the float that one index's own nested sums give. The caller
+    has checked m against the depth and the work bound."""
     # imported here so that commands which never evaluate do not load numpy
     import numpy as np
 
     steps, _, where = schedule
     if not steps:
         return {}
-    depth = 1 + max(d for d, *_ in steps)
-    distinct = {k for _, _, ka, kb in steps for k in (ka, kb) if k is not None}
-    # slot 0 of a depth's buffer holds its pair's sums up to n = start - 1,
-    # slot 1 + i the sums up to n = start + i
-    bufs = [np.empty(min(BLOCK, m) + 1, dtype=np.complex128) for _ in range(depth)]
+    depth = 1 + max((out for out, _, _ in steps if out is not None), default=-1)
+    distinct = {lane[1] for _, *lanes in steps for lane in lanes if lane}
+    # slot 0 of a buffer holds its step's sums up to n = start - 1, slot
+    # 1 + i the sums up to n = start + i; the last is the scratch buffer
+    bufs = [np.empty(min(BLOCK, m) + 1, dtype=np.complex128) for _ in range(depth + 1)]
     carry = [0j] * len(steps)
     powers = {}
     for start in range(1, m + 1, BLOCK):
@@ -127,19 +180,21 @@ def _partial_sums(schedule, m: int) -> dict:
         powers.clear()  # free the last block's powers before making these
         for k in distinct:
             powers[k] = x ** float(-k)
-        for i, (d, lane, ka, kb) in enumerate(steps):
-            buf = bufs[d][:n + 1]
-            if lane is None:
-                up = 1.0  # the empty index: 1 at every n
-            else:
-                up = (bufs[d - 1].imag if lane else bufs[d - 1].real)[:n]
+        for i, (out, a, b) in enumerate(steps):
+            buf = bufs[-1 if out is None else out][:n + 1]
             buf[0] = carry[i]
-            # inner indices strictly below the current one
-            np.multiply(powers[ka], up, out=buf.real[1:])
-            if kb is None:
-                buf.imag[1:] = 0.0
-            else:
-                np.multiply(powers[kb], up, out=buf.imag[1:])
+            for lane, half in ((a, buf.real), (b, buf.imag)):
+                if lane is None:
+                    half[1:] = 0.0
+                    continue
+                src, k = lane
+                if src is None:
+                    up = 1.0  # the empty index: 1 at every n
+                else:
+                    d, im = src
+                    up = (bufs[d].imag if im else bufs[d].real)[:n]
+                # inner indices strictly below the current one
+                np.multiply(powers[k], up, out=half[1:])
             np.cumsum(buf, out=buf)
             carry[i] = buf[n]
     sums = {}

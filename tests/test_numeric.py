@@ -67,6 +67,59 @@ def random_combination(rng, n_words, constant):
     return NcPoly(terms)
 
 
+def duality_combination(seed, top):
+    """A seeded integer combination of every duality target of weight
+    2..top, each an exact zero: the shape of the residual workload."""
+    from mzvkit.span import duality_target
+
+    rng = random.Random(seed)
+    p = NcPoly.zero()
+    for k in range(2, top + 1):
+        for m in range(1, k):
+            for l in range(1, k - m + 1):
+                p = p + duality_target(k, m, l).scale(rng.choice([-5, -2, 1, 3, 8]))
+    return p
+
+
+def replay(indices):
+    """Replay the _schedule of indices buffer by buffer, naming each node by
+    its path of reversed parts, and return its steps. Each lane must read
+    the lane that holds its parent at that moment, never in the buffer its
+    step writes; each trie node must sit in exactly one lane; no buffer may
+    be overwritten while a child of a node in it, pooled or not, is still
+    to come; and each index must map to the lane of its own node."""
+    steps, nodes, where = numeric._schedule(indices)
+    kids = {}
+    for parts in indices:
+        path = tuple(reversed(parts))
+        for j in range(1, len(path) + 1):
+            kids.setdefault(path[:j - 1], set()).add(path[:j])
+    trie = set().union(*kids.values()) if kids else set()
+    held, done, named = {}, set(), []
+    for out, *lanes in steps:
+        assert lanes[0] is not None, out
+        made = []
+        for lane in lanes:
+            if lane is None:
+                made.append(None)
+                continue
+            src, k = lane
+            assert src is None or src[0] != out, (out, lane)
+            node = (() if src is None else held[src]) + (k,)
+            assert node in trie and node not in done, node
+            made.append(node)
+        for i, node in enumerate(made):
+            old = held.get((out, i))
+            assert old is None or kids.get(old, set()) <= done, (out, i, old)
+            held[out, i] = node
+        done.update(node for node in made if node)
+        named.append(made)
+    assert done == trie and nodes == len(trie)
+    for parts, (step, lane) in where.items():
+        assert named[step][lane] == tuple(reversed(parts)), parts
+    return steps
+
+
 # shared suffixes (.., 1, 1) and (.., 2, 1), and repeated parts
 SHARED_SUFFIXES = NcPoly(
     {"xyyy": 1, "xxyyy": 1, "xyxyyy": 1, "xxyxyy": -1, "xyxyxy": 5, "xxyxxy": 1}
@@ -89,6 +142,21 @@ def _combinations():
     ]
 
 
+def _tries():
+    """Seeded random tries, one 1200 deep, and one of all 512 admissible
+    indices of weight 11 (1023 nodes)."""
+    cases = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        indices = {
+            tuple(rng.choice([1, 1, 2, 3]) for _ in range(rng.randint(1, 7)))
+            for _ in range(rng.randint(1, 60))
+        }
+        cases.append(pytest.param(sorted(indices), id=f"random{seed}"))
+    wide = [word_to_index(w) for w in admissible_words(11)]
+    return cases + [pytest.param(DEEP, id="deep"), pytest.param(wide, id="wide")]
+
+
 class TestSuffixTrieKernel:
     @pytest.mark.parametrize("m", [8, 97, 5000])
     @pytest.mark.parametrize("p", _combinations())
@@ -102,22 +170,25 @@ class TestSuffixTrieKernel:
                 parts = word_to_index(w)
                 assert zeta_eval(parts, m).value == nested_cumsum(parts, m), parts
 
-    def test_residual_stdout_is_oracle_formatted(self, capsys, tmp_path):
-        from mzvkit.span import duality_target
-
-        rng = random.Random(7)
-        p = NcPoly.zero()
-        for k in range(2, 8):
-            for m in range(1, k):
-                for l in range(1, k - m + 1):
-                    p = p + duality_target(k, m, l).scale(rng.choice([-5, -2, 1, 3, 8]))
+    @staticmethod
+    def check_residual_stdout(capsys, tmp_path, p, cutoff):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(p.to_dict()))
-        cutoff = 30000
         assert main(["--format", "json", "residual", str(path), "--cutoff", str(cutoff)]) == 0
         value, tail = oracle_z_eval(p, cutoff)
         expected = {"value": f"{value:.12f}", "cutoff": cutoff, "tail_bound": f"{tail:.12f}"}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    def test_residual_stdout_is_oracle_formatted(self, capsys, tmp_path):
+        self.check_residual_stdout(capsys, tmp_path, duality_combination(7, 7), 30000)
+
+    def test_residual_stdout_is_oracle_formatted_at_the_workload_shape(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # every duality target of weight 2..10, as in the residual workload,
+        # with blocks small enough that 30000 crosses seven block edges
+        monkeypatch.setattr(numeric, "BLOCK", 4096)
+        self.check_residual_stdout(capsys, tmp_path, duality_combination(11, 10), 30000)
 
     def test_kernel_is_flat_at_any_depth(self):
         # depth 1200 is past the recursion limit; the shallow indices are
@@ -143,30 +214,52 @@ class TestSuffixTrieKernel:
         sums = numeric._partial_sums(numeric._schedule(DEEP), m)
         assert sums == {parts: nested_cumsum(parts, m) for parts in DEEP}
 
-    def test_schedule_pairs_siblings_in_pre_order(self):
-        # reversed: (1,1,2) (1,1,3) (1,1,2,2) (1,2,3) (2,2,2) (3,3); the root
-        # has three children and five nodes have one, so six steps leave
-        # their second lane empty; each step's parent is in the lane named
+    def test_schedule_of_shared_suffixes(self):
+        # reversed: (1,1,2) (1,1,3) (1,1,2,2) (1,2,3) (2,2,2) (3,3); seven
+        # internal nodes take depth buffers in pre-order, and the five
+        # leaves fill their free lanes or pair up in scratch (out None)
+        # before the buffer holding their parent is written again
         indices = [word_to_index(w) for w in SHARED_SUFFIXES.terms]
         steps, nodes, where = numeric._schedule(indices)
         assert steps == [
-            (0, None, 1, 2), (1, 0, 1, 2), (2, 0, 2, 3), (3, 0, 2, None),
-            (2, 1, 3, None), (1, 1, 2, None), (2, 0, 2, None),
-            (0, None, 3, None), (1, 0, 3, None),
+            (0, (None, 1), (None, 2)),
+            (1, ((0, 0), 1), ((0, 0), 2)),
+            (2, ((1, 0), 2), ((1, 0), 3)),  # leaf (1,1,3) fills lane 1
+            (None, ((1, 1), 3), ((2, 0), 2)),  # before buffer 1 is reused
+            (1, ((0, 1), 2), None),
+            (0, (None, 3), ((1, 0), 2)),  # leaf (2,2,2) fills lane 1
+            (None, ((0, 0), 3), None),
         ]
-        # twelve nodes; (2,2,1,1) ends in lane 0 of step 3, (3,1,1) in lane 1
-        # of step 2
-        assert nodes == 12 and set(where) == set(indices)
-        assert where[(2, 2, 1, 1)] == (3, 0) and where[(3, 1, 1)] == (2, 1)
+        assert nodes == 12
+        assert where == {
+            (2, 1, 1): (2, 0), (3, 1, 1): (2, 1), (2, 2, 1, 1): (3, 1),
+            (3, 2, 1): (3, 0), (2, 2, 2): (5, 1), (3, 3): (6, 0),
+        }
+        assert replay(indices) == steps
+
+    @pytest.mark.parametrize("indices", _tries())
+    def test_schedule_keeps_every_parent_live(self, indices):
+        replay(indices)
+
+    def test_schedule_leaves_almost_no_lane_empty(self):
+        # the residual workload's shape: each step fills two of the trie's
+        # nodes but for a few, so a block costs about nodes / 2 cumsums
+        p = duality_combination(3, 10)
+        steps, nodes, _ = numeric._schedule([word_to_index(w) for w in p.terms if w])
+        assert len(steps) <= math.ceil(nodes / 2) + 3, (len(steps), nodes)
 
     def test_memory_is_flat_in_the_cutoff(self):
-        tracemalloc.start()
-        try:
-            numeric._partial_sums(numeric._schedule([(2, 1, 1)]), 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, peak
+        # one deep-enough index at 10^6, then a wide trie of 1023 nodes:
+        # memory grows with the depth, not the cutoff or the node count
+        wide = [word_to_index(w) for w in admissible_words(11)]
+        for indices, m in [([(2, 1, 1)], 10**6), (wide, 10**5)]:
+            tracemalloc.start()
+            try:
+                numeric._partial_sums(numeric._schedule(indices), m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, (len(indices), peak)
 
 
 class TestZetaEval:
@@ -204,6 +297,20 @@ class TestZetaEval:
             for m in (100, 1000, 10 ** 4):
                 r = zeta_eval(parts, m)
                 assert abs(r.value - ref) <= r.tail_bound
+
+    @pytest.mark.parametrize("target, m, value, tail", [
+        ((9, 5, 4), 200000, "4.954803928258755e-17", "5.13351303394262e-18"),
+        ((7, 3, 4), 10**6, "-1.932568688411962e-14", "1.1605312452820005e-15"),
+        ((10, 6, 4), 10**6, "2.2104171791548222e-17", "1.9457839722987878e-19"),
+    ])
+    def test_baseline_residuals_are_pinned(self, target, m, value, tail):
+        # exact zeros by duality: the values are rounding, past the tail
+        # bound, which covers truncation only
+        from mzvkit.span import duality_target
+
+        r = z_eval(duality_target(*target), m)
+        assert (repr(r.value), repr(r.tail_bound)) == (value, tail)
+        assert abs(r.value) > r.tail_bound
 
     def test_rejects_divergent(self):
         with pytest.raises(ValueError):
