@@ -10,18 +10,15 @@ input before numpy loads: a cutoff below 1 or below the largest depth,
 partial sums of more than MAX_SUM_TERMS terms (cutoff + 1 for each node of
 the trie of reversed indices), then a tail bound that overflows. One
 kernel then walks n = 1..cutoff in blocks of BLOCK values. In each block
-it computes the powers n^-k once per distinct part, then walks the trie
-depth-first, so each distinct suffix (k_j, ..., k_d) is summed once, from
-its parent's values. Each step fills the real and imaginary lanes of one
-complex buffer with two nodes, so one complex cumulative sum advances
-both. Nodes with children pair with their siblings in one buffer per
-depth, which stays in place until their subtrees are done; leaves need
-only their last sum, so they fill the lanes those pairs leave empty, or
-pair with each other in one scratch buffer. Each node carries its last
-sum into slot 0 of the next block, so every per-index value is the same
-float as the one-index, full-length nested cumulative sum gives. Memory is
-about (max depth + 1 + distinct parts) arrays of BLOCK values, whatever
-the cutoff and the number of indices.
+it computes the powers n^-k once per distinct part, then sums each trie
+node once from its parent's values, so indices that share a suffix
+(k_j, ..., k_d) share its sums. A step sums two nodes in the real and
+imaginary lanes of one complex buffer, which is reused once no waiting
+node reads it. Each node carries its last sum into slot 0 of the next
+block, so every per-index value is the same float as the one-index,
+full-length nested cumulative sum gives. Memory is about (buffers +
+distinct parts) arrays of BLOCK values, with at most max depth buffers,
+whatever the cutoff and the number of indices.
 """
 
 from __future__ import annotations
@@ -75,22 +72,26 @@ def _schedule(indices):
     """The trie of the reversed indices, as a list of steps that each fill
     the two lanes (real, imaginary) of one complex buffer.
 
-    A step is (out, lane_a, lane_b). Each lane is (src, part): src is the
-    (depth, 0 real | 1 imaginary) lane that holds the node's parent, or
-    None when the parent is the root, and the lane then sums the powers
-    themselves. lane_b is None when it is left empty. out is the depth of
-    the buffer the step writes, or None for the scratch buffer.
+    A step is (out, lane_a, lane_b): out is the buffer it writes, and each
+    lane is (src, part), where src is the (buffer, 0 real | 1 imaginary)
+    lane that holds the node's parent, or None for the root, whose lane
+    sums the powers themselves. lane_b is None when only one node waits.
 
-    Internal nodes (nodes with children) are paired with their siblings
-    in pre-order, one buffer per depth, so a parent's buffer stays in
-    place until its subtree is done. A leaf needs only its last value:
-    the leaf children of a step's nodes go into a pool, and a step with
-    one internal node takes a pooled leaf, the one whose parent sits
-    deepest, into its second lane. Before a depth's buffer is written
-    again, the leaves still pooled under it are paired with each other in
-    scratch steps; an odd one takes another pooled leaf, whose parent is
-    still in place. Returns the steps, the number of nodes, and index ->
-    (step, lane) of its node."""
+    A node whose parent has been summed waits on one stack, and each step
+    sums the top two into a buffer from a free list, or a new one. The
+    buffer counts the waiting nodes whose parent it holds, and goes back
+    on the list at 0. The parents' counts drop after out is chosen, so no
+    lane reads the buffer its own step writes.
+
+    At most max depth buffers are made. A live buffer (count > 0) holds
+    the parents of one run of the stack, and by induction the i-th from
+    the bottom holds nodes at least i deep: a step's nodes are children
+    of the top two runs' buffers, and its own buffer goes just above the
+    live ones left. A new buffer is made only when all are live, and the
+    top node is then at least one deeper than their number.
+
+    Returns the steps, the number of nodes, and index -> (step, lane) of
+    its node."""
     ids, leaf = {}, {}  # (parent node, part) -> node; the root is node 0
     for parts in indices:
         node = 0
@@ -101,54 +102,25 @@ def _schedule(indices):
     for (parent, k), node in sorted(ids.items()):
         children.setdefault(parent, []).append((k, node))
 
-    # a lane to fill is (src, part, node)
     steps, where = [], {}
-    # (depth, one or two sibling internal nodes), an explicit stack, so
-    # that depth is not bound by the recursion limit
-    stack = []
-    pool = {}  # depth of the buffer holding the parent (-1 root) -> leaves
-
-    def emit(out, pair):
-        for i, (_, _, node) in enumerate(pair):
-            where[node] = (len(steps), i)
+    # (src, part, node) per waiting node; waiting[b]: those whose parent is in b
+    ready = [(None, k, node) for k, node in reversed(children.get(0, []))]
+    waiting, free = {}, []
+    while ready:
+        pair = [ready.pop() for _ in range(min(2, len(ready)))]
+        out = free.pop() if free else len(waiting)
+        for j in [src[0] for src, _, _ in pair if src]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                free.append(j)
+        where.update({node: (len(steps), lane) for lane, (_, _, node) in enumerate(pair)})
         steps.append((out, pair[0][:2], pair[1][:2] if len(pair) == 2 else None))
-
-    def take():
-        deepest = max(pool)  # the buffer to be written again soonest
-        leaves = pool[deepest]
-        leaf = leaves.pop()
-        if not leaves:
-            del pool[deepest]
-        return leaf
-
-    def flush(depth):
-        leaves = pool.pop(depth, [])
-        for i in range(0, len(leaves), 2):
-            pair = leaves[i:i + 2]
-            if len(pair) == 1 and pool:
-                pair.append(take())
-            emit(None, pair)
-
-    def expand(depth, src, node):
-        # node's children sit at depth; node itself in src, at depth - 1
-        kids = [(src, k, kid) for k, kid in children.get(node, [])]
-        inner = [lane for lane in kids if lane[2] in children]
-        leaves = [lane for lane in kids if lane[2] not in children]
-        if leaves:
-            pool.setdefault(depth - 1, []).extend(leaves)
-        stack.extend((depth, inner[i:i + 2]) for i in reversed(range(0, len(inner), 2)))
-
-    expand(0, None, 0)
-    while stack:
-        depth, pair = stack.pop()
-        flush(depth)
-        if len(pair) == 1 and pool:
-            pair.append(take())
-        emit(depth, pair)
-        for lane in reversed(range(len(pair))):
-            expand(depth + 1, (depth, lane), pair[lane][2])
-    while pool:
-        flush(max(pool))
+        kids = [((out, lane), k, kid) for lane in reversed(range(len(pair)))
+                for k, kid in reversed(children.get(pair[lane][2], []))]
+        ready += kids
+        waiting[out] = len(kids)
+        if not kids:
+            free.append(out)
     return steps, len(ids), {parts: where[node] for parts, node in leaf.items()}
 
 
@@ -167,11 +139,11 @@ def _partial_sums(schedule, m: int) -> dict:
     steps, _, where = schedule
     if not steps:
         return {}
-    depth = 1 + max((out for out, _, _ in steps if out is not None), default=-1)
     distinct = {lane[1] for _, *lanes in steps for lane in lanes if lane}
     # slot 0 of a buffer holds its step's sums up to n = start - 1, slot
-    # 1 + i the sums up to n = start + i; the last is the scratch buffer
-    bufs = [np.empty(min(BLOCK, m) + 1, dtype=np.complex128) for _ in range(depth + 1)]
+    # 1 + i the sums up to n = start + i
+    bufs = [np.empty(min(BLOCK, m) + 1, dtype=np.complex128)
+            for _ in range(1 + max(out for out, _, _ in steps))]
     carry = [0j] * len(steps)
     powers = {}
     for start in range(1, m + 1, BLOCK):
@@ -181,7 +153,7 @@ def _partial_sums(schedule, m: int) -> dict:
         for k in distinct:
             powers[k] = x ** float(-k)
         for i, (out, a, b) in enumerate(steps):
-            buf = bufs[-1 if out is None else out][:n + 1]
+            buf = bufs[out][:n + 1]
             buf[0] = carry[i]
             for lane, half in ((a, buf.real), (b, buf.imag)):
                 if lane is None:
@@ -191,8 +163,8 @@ def _partial_sums(schedule, m: int) -> dict:
                 if src is None:
                     up = 1.0  # the empty index: 1 at every n
                 else:
-                    d, im = src
-                    up = (bufs[d].imag if im else bufs[d].real)[:n]
+                    j, im = src
+                    up = (bufs[j].imag if im else bufs[j].real)[:n]
                 # inner indices strictly below the current one
                 np.multiply(powers[k], up, out=half[1:])
             np.cumsum(buf, out=buf)

@@ -286,6 +286,21 @@ class TestEvalAndResidual:
         value = float(out.split()[0].split("=")[1])
         assert abs(value) < 5e-3
 
+    def test_residual_workload_stdout_is_pinned(self, capsys, tmp_path, monkeypatch):
+        # the benchmark's numeric-residual input at seed 1, written as the
+        # benchmark writes it; its own check allows a 1e-12 relative error,
+        # this pin none
+        monkeypatch.syspath_prepend(str(PYPROJECT.parent / "perfbench"))
+        from workloads import residual_input
+
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(residual_input(1).to_dict()) + "\n")
+        code, out, err = run(capsys, "--format", "json", "residual", str(path),
+                             "--cutoff", "200000")
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "b0dfd209ce38dcc328842241e007d2027e82267ca4dce119a76706ae25aee27f"
+
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "(1,2)", "--cutoff", "100")
         assert code == 2

@@ -86,8 +86,9 @@ def replay(indices):
     its path of reversed parts, and return its steps. Each lane must read
     the lane that holds its parent at that moment, never in the buffer its
     step writes; each trie node must sit in exactly one lane; no buffer may
-    be overwritten while a child of a node in it, pooled or not, is still
-    to come; and each index must map to the lane of its own node."""
+    be overwritten while a child of a node in it is still to come; each
+    index must map to the lane of its own node; and the steps may write no
+    more buffers than the largest depth of the indices."""
     steps, nodes, where = numeric._schedule(indices)
     kids = {}
     for parts in indices:
@@ -117,6 +118,9 @@ def replay(indices):
     assert done == trie and nodes == len(trie)
     for parts, (step, lane) in where.items():
         assert named[step][lane] == tuple(reversed(parts)), parts
+    buffers = {out for out, _, _ in steps}
+    assert buffers == set(range(len(buffers)))
+    assert len(buffers) <= max(map(len, indices), default=0)
     return steps
 
 
@@ -215,31 +219,35 @@ class TestSuffixTrieKernel:
         assert sums == {parts: nested_cumsum(parts, m) for parts in DEEP}
 
     def test_schedule_of_shared_suffixes(self):
-        # reversed: (1,1,2) (1,1,3) (1,1,2,2) (1,2,3) (2,2,2) (3,3); seven
-        # internal nodes take depth buffers in pre-order, and the five
-        # leaves fill their free lanes or pair up in scratch (out None)
-        # before the buffer holding their parent is written again
+        # reversed: (1,1,2) (1,1,3) (1,1,2,2) (1,2,3) (2,2,2) (3,3); each
+        # step sums the top two waiting nodes, so the 12 nodes take 6
+        # steps, and a buffer is reused once no waiting node reads it
         indices = [word_to_index(w) for w in SHARED_SUFFIXES.terms]
         steps, nodes, where = numeric._schedule(indices)
         assert steps == [
             (0, (None, 1), (None, 2)),
             (1, ((0, 0), 1), ((0, 0), 2)),
-            (2, ((1, 0), 2), ((1, 0), 3)),  # leaf (1,1,3) fills lane 1
-            (None, ((1, 1), 3), ((2, 0), 2)),  # before buffer 1 is reused
-            (1, ((0, 1), 2), None),
-            (0, (None, 3), ((1, 0), 2)),  # leaf (2,2,2) fills lane 1
-            (None, ((0, 0), 3), None),
+            (2, ((1, 0), 2), ((1, 0), 3)),
+            (3, ((2, 0), 2), ((1, 1), 3)),  # two leaves: 2, 1 and 3 are free
+            (3, ((0, 1), 2), (None, 3)),  # then 0 is free
+            (0, ((3, 0), 2), ((3, 1), 3)),
         ]
         assert nodes == 12
         assert where == {
-            (2, 1, 1): (2, 0), (3, 1, 1): (2, 1), (2, 2, 1, 1): (3, 1),
-            (3, 2, 1): (3, 0), (2, 2, 2): (5, 1), (3, 3): (6, 0),
+            (2, 1, 1): (2, 0), (3, 1, 1): (2, 1), (2, 2, 1, 1): (3, 0),
+            (3, 2, 1): (3, 1), (2, 2, 2): (5, 0), (3, 3): (5, 1),
         }
         assert replay(indices) == steps
 
     @pytest.mark.parametrize("indices", _tries())
     def test_schedule_keeps_every_parent_live(self, indices):
         replay(indices)
+
+    def test_schedule_of_a_deep_trie_takes_three_buffers(self):
+        # a buffer is freed once its nodes' children are summed, so a path
+        # 1200 deep reuses the same few buffers all the way down
+        steps, _, _ = numeric._schedule(DEEP)
+        assert len({out for out, _, _ in steps}) <= 3
 
     def test_schedule_leaves_almost_no_lane_empty(self):
         # the residual workload's shape: each step fills two of the trie's
@@ -249,10 +257,11 @@ class TestSuffixTrieKernel:
         assert len(steps) <= math.ceil(nodes / 2) + 3, (len(steps), nodes)
 
     def test_memory_is_flat_in_the_cutoff(self):
-        # one deep-enough index at 10^6, then a wide trie of 1023 nodes:
-        # memory grows with the depth, not the cutoff or the node count
+        # one deep-enough index at 10^6, a wide trie of 1023 nodes, then a
+        # trie 1200 deep: memory grows with neither the cutoff, the node
+        # count nor the depth
         wide = [word_to_index(w) for w in admissible_words(11)]
-        for indices, m in [([(2, 1, 1)], 10**6), (wide, 10**5)]:
+        for indices, m in [([(2, 1, 1)], 10**6), (wide, 10**5), (DEEP, 10**5)]:
             tracemalloc.start()
             try:
                 numeric._partial_sums(numeric._schedule(indices), m)
