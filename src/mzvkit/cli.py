@@ -22,13 +22,14 @@ DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
 # The largest --order of each identity, whose peak RSS stays under 1 GB.
 # Peak RSS of the process by order, and its growth:
-#   eq 3:   173, 385, 862 MB at 14, 15, 16; 2.2x per order, so 17
-#           would take about 1.9 GB;
-#   eq 2:   59, 193, 373, 731, 1389 MB at 18, 20, 21, 22, 23; 1.9x per
-#           order, so 23, measured, exceeds 1 GB;
+#   eq 3:   167, 372, 828 MB at 14, 15, 16; 2.2x per order, so 17
+#           would take about 1.8 GB;
+#   eq 2:   308, 690, 859, 952, 1000 MB at 10240, 16000, 18000, 19000,
+#           19500 (76 s at 19000); about N^1.9, so 19500 sits at 1 GB, with
+#           no headroom under a 1 GB address-space limit;
 #   lemmas: 17, 30, 112, 683, 998 MB at 120, 240, 480, 960, 1100; about
 #           6x per doubling (N^2.6), so 1121 would reach 1 GB.
-MAX_ORDER = {"2": 22, "3": 16, "lemmas": 1100}
+MAX_ORDER = {"2": 19000, "3": 16, "lemmas": 1100}
 # The largest verify corollary --weight whose peak RSS stays under 1 GB.
 # Weight 15, the largest measured, took 281 s and 369 MB in one process.
 # Weight 16 is a model, not a measurement: memory grew 3x from 14 to 15,

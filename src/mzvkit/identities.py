@@ -12,8 +12,8 @@ from .series import (
     NotDivisibleError,
     Series3,
     delta_on_series,
+    divide,
     divide_by_v_minus_w,
-    geometric_inverse,
 )
 
 
@@ -57,9 +57,12 @@ class _Blocks:
     of the same expression built on _Blocks(order): only x and y change, to
     delta_on_series(t, x) and delta_on_series(t, y).
 
-    Truncated products are associative, so the grouping of each product
-    chain below is a cost choice (small factors first, the dense inverse
-    once, at the end), and the left-to-right form is the test oracle.
+    No inverse is formed: each quotient by a factor f is divide(f, g) for
+    1/f g, or divide(f, g, left=False) for g 1/f, whose cost is about
+    |f| times the size of the quotient. Truncated products are associative,
+    so the grouping of each chain below is a cost choice (small factors
+    first, each division applied to the product it acts on), and the
+    left-to-right product with explicit inverses is the test oracle.
     """
 
     def __init__(self, order: int, var: str | None = None):
@@ -80,9 +83,6 @@ class _Blocks:
             out = out - getattr(self, letter) * getattr(self, var)
         return out
 
-    def inv(self, *terms: str) -> Series3:
-        return geometric_inverse(self.lin(*terms))
-
     def kernel(self, *terms: str) -> Series3:
         mixed = (self.x * self.x + self.y * self.x) * self.u * self.v
         return self.lin("xu", "xv", *terms) + mixed
@@ -90,28 +90,33 @@ class _Blocks:
 
 def _zeta_base(b: _Blocks) -> Series3:
     """x/(1-xu) y."""
-    return b.x * (b.inv("xu") * b.y)
+    return b.x * divide(b.lin("xu"), b.y)
+
+
+def _xy_over_yu(b: _Blocks) -> Series3:
+    """x y/(1-yu)."""
+    return divide(b.lin("yu"), b.x * b.y, left=False)
 
 
 def conjecture_lhs_series(order: int) -> Series3:
     """x/(1-xu) y 1/(1-xw-yv) (1-xw): the generating function whose
     coefficient at u^(m-1) v^(l-1) w^(k-m-l) is sum_word(k, m, l)."""
     b = _Blocks(order)
-    return _zeta_base(b) * (b.inv("xw", "yv") * b.lin("xw"))
+    return _zeta_base(b) * divide(b.lin("xw", "yv"), b.lin("xw"))
 
 
 def conjecture_lhs_split_form(order: int) -> Series3:
     """The equivalent split form x/(1-xu)y + x/(1-xu)y 1/(1-xw-yv) yv."""
     b = _Blocks(order)
     head = _zeta_base(b)
-    return head + head * (b.inv("xw", "yv") * (b.y * b.v))
+    return head + head * divide(b.lin("xw", "yv"), b.y * b.v)
 
 
 def duality_k1_lhs(order: int) -> Series3:
     """x/(1-xu) y 1/(1-xw-yv) y - x 1/(1-xv-yw) x y/(1-yu)."""
     b = _Blocks(order)
-    t1 = _zeta_base(b) * (b.inv("xw", "yv") * b.y)
-    t2 = (b.x * b.inv("xv", "yw")) * ((b.x * b.y) * b.inv("yu"))
+    t1 = _zeta_base(b) * divide(b.lin("xw", "yv"), b.y)
+    t2 = b.x * divide(b.lin("xv", "yw"), _xy_over_yu(b))
     return t1 - t2
 
 
@@ -119,7 +124,7 @@ def duality_gf(order: int) -> Series3:
     """Full generating function of (1-tau)(sum_word): the depth-1 part plus
     v times the higher-depth part."""
     b = _Blocks(order)
-    head = _zeta_base(b) - b.x * b.y * b.inv("yu")
+    head = _zeta_base(b) - _xy_over_yu(b)
     return head + duality_k1_lhs(order) * b.v
 
 
@@ -128,16 +133,13 @@ def duality_gf(order: int) -> Series3:
 def _inner1(b: _Blocks) -> Series3:
     """x 1/kernel y 1/(1-xw) (1-xw-yw): (Delta_v - Delta_w) of it is the
     numerator of the k1 identity."""
-    return b.x * (geometric_inverse(b.kernel()) * (b.y * (b.inv("xw") * b.lin("xw", "yw"))))
+    return b.x * divide(b.kernel(), b.y * divide(b.lin("xw"), b.lin("xw", "yw")))
 
 
 def _inner2(b: _Blocks) -> Series3:
     """x 1/(kernel-yw) (1-xu-yu) x/(1-xu) y: the (1 - Delta_u) term of the
     k1 identity."""
-    return b.x * (
-        geometric_inverse(b.kernel("yw"))
-        * ((b.lin("xu", "yu") * b.x) * (b.inv("xu") * b.y))
-    )
+    return b.x * divide(b.kernel("yw"), (b.lin("xu", "yu") * b.x) * divide(b.lin("xu"), b.y))
 
 
 def verify_duality_zeta(order: int) -> IdentityReport:
@@ -147,7 +149,7 @@ def verify_duality_zeta(order: int) -> IdentityReport:
         raise ValueError("order must be >= 1")
     b = _Blocks(order)
     base = _zeta_base(b)
-    lhs = base - b.x * b.y * b.inv("yu")
+    lhs = base - _xy_over_yu(b)
     rhs = base - _zeta_base(_Blocks(order, "u"))
     return compare_series("duality-zeta", lhs, rhs)
 
@@ -185,32 +187,33 @@ def verify_proof_steps(order: int) -> list[IdentityReport]:
     if order < 2:
         raise ValueError("order must be >= 2")
     b, bu = _Blocks(order), _Blocks(order, "u")
-    kernel_w, inv_yu = b.kernel("yw"), b.inv("yu")
+    kernel_w = b.kernel("yw")
     return [
         compare_series(
             "lemma-1: Delta_u(1-xu)",
             bu.lin("xu"),
-            b.lin("xu", "yu") * inv_yu,
+            divide(b.lin("yu"), b.lin("xu", "yu"), left=False),
         ),
         compare_series(
             "lemma-2: Delta_u(kernel-yw)",
             bu.kernel("yw"),
-            b.lin("xu", "yu") * b.lin("xv", "yw") * inv_yu,
+            divide(b.lin("yu"), b.lin("xu", "yu") * b.lin("xv", "yw"), left=False),
         ),
         compare_series(
             "lemma-3: Delta_v(kernel)",
             _Blocks(order, "v").kernel(),
-            b.lin("xv", "yv") * b.lin("xu") * b.inv("yv"),
+            divide(b.lin("yv"), b.lin("xv", "yv") * b.lin("xu"), left=False),
         ),
         compare_series(
             "lemma-4: Delta_w(kernel)",
             _Blocks(order, "w").kernel(),
-            kernel_w * b.inv("yw"),
+            divide(b.lin("yw"), kernel_w, left=False),
         ),
         compare_series(
             "closing identity",
-            (b.v - b.w) * b.lin("xu", "yu") * b.x * b.inv("xu") - b.lin("xw", "yw"),
-            -(kernel_w * b.inv("xu")),
+            divide(b.lin("xu"), (b.v - b.w) * b.lin("xu", "yu") * b.x, left=False)
+            - b.lin("xw", "yw"),
+            -divide(b.lin("xu"), kernel_w, left=False),
         ),
     ]
 
@@ -224,5 +227,5 @@ def lemma2_swapped_control(order: int) -> IdentityReport:
     return compare_series(
         "lemma-2 swapped factors (negative control)",
         _Blocks(order, "u").kernel("yw"),
-        b.lin("xv", "yw") * b.lin("xu", "yu") * b.inv("yu"),
+        divide(b.lin("yu"), b.lin("xv", "yw") * b.lin("xu", "yu"), left=False),
     )

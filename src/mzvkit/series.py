@@ -1,10 +1,13 @@
 """Truncated formal power series in the central variables u, v, w with
 NcPoly coefficients, truncated by total degree.
 
-Includes geometric inversion, the automorphism Delta_t in two independent
-routes (the closed-form letter images multiplied left to right over a word,
-and exp of derivations, summed in integers and divided once), and the
-divided difference (F_v - F_w)/(v - w).
+One product kernel builds every product and every quotient: division by
+a series with constant term 1 is forward substitution, and no inverse is
+formed (geometric_inverse is the quotient of 1). Also the automorphism
+Delta_t in two independent routes (the closed-form letter images
+multiplied left to right over a word, and exp of derivations, summed in
+integers and divided once), and the divided difference
+(F_v - F_w)/(v - w).
 """
 
 from __future__ import annotations
@@ -142,15 +145,17 @@ class Series3:
         return f"Series3(order={self.order}, {{{inner}}})"
 
 
-def _degree_layer(left: list, right: list, d: int) -> dict:
-    """Layer d of a product: the sum over j = 0..d of left[j] * right[d-j].
+def _degree_layer(left: list, right: list, d: int, start: dict | None = None) -> dict:
+    """Layer d of a product: the sum over j = 0..d of left[j] * right[d-j],
+    plus the layer start when one is given.
 
-    The one product kernel under Series3.__mul__ and geometric_inverse; it
-    skips each j at which either layer is empty. Each output monomial keeps
-    one {word: coeff} dict, into which every pair of factor terms is summed
-    in place, in ascending j; the nonempty dicts become NcPolys at the end.
+    The one product kernel under Series3.__mul__ and divide; it skips each
+    j at which either layer is empty. Each output monomial keeps one
+    {word: coeff} dict, a copy of its start coefficient's terms or empty,
+    into which every pair of factor terms is summed in place, in ascending
+    j; the nonempty dicts become NcPolys at the end.
     """
-    acc: dict[tuple, dict] = {}
+    acc: dict[tuple, dict] = {m: dict(p._terms) for m, p in start.items()} if start else {}
     for j in range(d + 1):
         if not (left[j] and right[d - j]):
             continue
@@ -161,21 +166,32 @@ def _degree_layer(left: list, right: list, d: int) -> dict:
     return {m: NcPoly._of(terms) for m, terms in acc.items() if terms}
 
 
-def geometric_inverse(f: Series3) -> Series3:
-    """Two-sided inverse mod degree order+1; requires constant coefficient
+def divide(f: Series3, g: Series3, left: bool = True) -> Series3:
+    """The quotient z with f*z = g, or z*f = g when left is false, mod
+    degree min(f.order, g.order)+1; requires constant coefficient of f
     exactly 1.
 
-    With e = 1 - f, g = 1 + e*g gives g_0 = 1 and g_d = sum_{j=1..d} e_j
-    g_(d-j): one pass over degrees. Layers 1.. of -f are those of e; its
-    layer 0 is left empty, so the kernel never reads the unbuilt g_d.
+    Power-series division by forward substitution: with e = 1 - f,
+    z = g + e*z gives z_d = g_d + sum_{j=1..d} e_j z_(d-j) (z_(d-j) e_j on
+    the right), one pass over degrees that never forms 1/f. Layers 1.. of
+    -f are those of e; its layer 0 is left empty, and z_d is an empty
+    placeholder while it is built, so the kernel never reads it.
     """
     if f.coeff((0, 0, 0)) != NcPoly.one():
         raise ValueError("not invertible at this truncation: constant term != 1")
     e = [{}] + (-f)._layers[1:]
-    g = [{(0, 0, 0): NcPoly.one()}]
-    for d in range(1, len(e)):
-        g.append(_degree_layer(e, g, d))
-    return Series3._of(g)
+    z: list[dict[tuple, NcPoly]] = []
+    factors = (e, z) if left else (z, e)
+    for d in range(min(len(e), len(g._layers))):
+        z.append({})
+        z[d] = _degree_layer(*factors, d, g._layers[d])
+    return Series3._of(z)
+
+
+def geometric_inverse(f: Series3) -> Series3:
+    """Two-sided inverse mod degree order+1; requires constant coefficient
+    exactly 1: the quotient of 1 by f."""
+    return divide(f, Series3.scalar(1, f.order))
 
 
 # -- Delta_t: closed-form substitution route --------------------------

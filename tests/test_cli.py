@@ -418,7 +418,9 @@ HOSTILE = {
     ],
     # orders whose series would take far more than 1 GB
     "theorem-eq3-order-40": lambda tmp: ["verify", "theorem", "--eq", "3", "--order", "40"],
-    "theorem-eq2-order-60": lambda tmp: ["verify", "theorem", "--eq", "2", "--order", "60"],
+    "theorem-eq2-order-40000": lambda tmp: [
+        "verify", "theorem", "--eq", "2", "--order", "40000",
+    ],
     "theorem-lemmas-order-100000": lambda tmp: [
         "verify", "theorem", "--eq", "lemmas", "--order", "100000",
     ],
@@ -506,7 +508,7 @@ class TestHostileInput:
         "case, refused",
         [
             ("theorem-eq3-order-40", "order 40 of --eq 3 exceeds 16"),
-            ("theorem-eq2-order-60", "order 60 of --eq 2 exceeds 22"),
+            ("theorem-eq2-order-40000", "order 40000 of --eq 2 exceeds 19000"),
             ("theorem-lemmas-order-100000", "order 100000 of --eq lemmas exceeds 1100"),
             ("theorem-order-1e9", "order 1000000000 of --eq all exceeds 16"),
         ],
@@ -517,7 +519,7 @@ class TestHostileInput:
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr == f"error: {refused}, the largest whose peak memory stays under 1 GB\n"
 
-    @pytest.mark.parametrize("eq, top", [("2", 22), ("3", 16), ("lemmas", 1100), ("all", 16)])
+    @pytest.mark.parametrize("eq, top", [("2", 19000), ("3", 16), ("lemmas", 1100), ("all", 16)])
     def test_theorem_order_bound_is_the_stated_one(self, eq, top):
         # the largest orders of cli.MAX_ORDER's memory model; --eq all takes
         # the smallest

@@ -24,6 +24,11 @@ def P(w, c=1):
     return NcPoly.word(w, c)
 
 
+def _inv(b, *terms) -> Series3:
+    """The explicit inverse of b.lin(*terms): the oracles' quotient."""
+    return geometric_inverse(b.lin(*terms))
+
+
 def _subs_zero(s: Series3, var: str) -> Series3:
     """Set one central variable to 0."""
     axis = VAR_AXIS[var]
@@ -140,7 +145,7 @@ class TestDualityZeta:
 
         order = 8
         b = _Blocks(order)
-        lhs = b.x * b.inv("xu") * b.y - b.x * b.y * b.inv("yu")
+        lhs = b.x * _inv(b, "xu") * b.y - b.x * b.y * _inv(b, "yu")
         assert lhs.coeff((0, 0, 0)).is_zero()
         assert lhs.coeff((1, 0, 0)) == P("xxy") + P("xyy", -1)
         for m in range(order + 1):
@@ -253,30 +258,34 @@ class TestFactorwiseDelta:
 # adjacent factors that do not commute swapped.
 _LEFT_TO_RIGHT = {
     "_zeta_base": lambda b: (
-        b.x * b.inv("xu") * b.y,
-        b.x * b.y * b.inv("xu"),
+        b.x * _inv(b, "xu") * b.y,
+        b.x * b.y * _inv(b, "xu"),
+    ),
+    "_xy_over_yu": lambda b: (
+        b.x * b.y * _inv(b, "yu"),
+        b.y * b.x * _inv(b, "yu"),
     ),
     "conjecture_lhs_series": lambda b: (
-        b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.lin("xw"),
-        b.x * b.inv("xu") * b.inv("xw", "yv") * b.y * b.lin("xw"),
+        b.x * _inv(b, "xu") * b.y * _inv(b, "xw", "yv") * b.lin("xw"),
+        b.x * _inv(b, "xu") * _inv(b, "xw", "yv") * b.y * b.lin("xw"),
     ),
     "conjecture_lhs_split_form": lambda b: (
-        b.x * b.inv("xu") * b.y + b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y * b.v,
-        b.x * b.y * b.inv("xu") + b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y * b.v,
+        b.x * _inv(b, "xu") * b.y + b.x * _inv(b, "xu") * b.y * _inv(b, "xw", "yv") * b.y * b.v,
+        b.x * b.y * _inv(b, "xu") + b.x * _inv(b, "xu") * b.y * _inv(b, "xw", "yv") * b.y * b.v,
     ),
     "duality_k1_lhs": lambda b: (
-        b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y
-        - b.x * b.inv("xv", "yw") * b.x * b.y * b.inv("yu"),
-        b.x * b.inv("xu") * b.y * b.inv("xw", "yv") * b.y
-        - b.x * b.x * b.inv("xv", "yw") * b.y * b.inv("yu"),
+        b.x * _inv(b, "xu") * b.y * _inv(b, "xw", "yv") * b.y
+        - b.x * _inv(b, "xv", "yw") * b.x * b.y * _inv(b, "yu"),
+        b.x * _inv(b, "xu") * b.y * _inv(b, "xw", "yv") * b.y
+        - b.x * b.x * _inv(b, "xv", "yw") * b.y * _inv(b, "yu"),
     ),
     "_inner1": lambda b: (
-        b.x * geometric_inverse(b.kernel()) * b.y * b.inv("xw") * b.lin("xw", "yw"),
-        b.x * geometric_inverse(b.kernel()) * b.inv("xw") * b.y * b.lin("xw", "yw"),
+        b.x * geometric_inverse(b.kernel()) * b.y * _inv(b, "xw") * b.lin("xw", "yw"),
+        b.x * geometric_inverse(b.kernel()) * _inv(b, "xw") * b.y * b.lin("xw", "yw"),
     ),
     "_inner2": lambda b: (
-        b.x * geometric_inverse(b.kernel("yw")) * b.lin("xu", "yu") * b.x * b.inv("xu") * b.y,
-        b.x * geometric_inverse(b.kernel("yw")) * b.x * b.lin("xu", "yu") * b.inv("xu") * b.y,
+        b.x * geometric_inverse(b.kernel("yw")) * b.lin("xu", "yu") * b.x * _inv(b, "xu") * b.y,
+        b.x * geometric_inverse(b.kernel("yw")) * b.x * b.lin("xu", "yu") * _inv(b, "xu") * b.y,
     ),
 }
 
@@ -311,7 +320,9 @@ class TestProofSteps:
         assert all(r.passed for r in reports)
 
     def test_negative_control_fails(self):
-        assert not lemma2_swapped_control(6).passed
+        report = lemma2_swapped_control(6)
+        assert not report.passed
+        assert (report.failing_monomial, report.failing_diff) == ((1, 0, 1), "xy - yx")
 
     @pytest.mark.parametrize("order", [1, 0, -1])
     def test_negative_control_refuses_a_vacuous_order(self, order):

@@ -307,18 +307,23 @@ class TestZetaEval:
                 r = zeta_eval(parts, m)
                 assert abs(r.value - ref) <= r.tail_bound
 
-    @pytest.mark.parametrize("target, m, value, tail", [
-        ((9, 5, 4), 200000, "4.954803928258755e-17", "5.13351303394262e-18"),
-        ((7, 3, 4), 10**6, "-1.932568688411962e-14", "1.1605312452820005e-15"),
-        ((10, 6, 4), 10**6, "2.2104171791548222e-17", "1.9457839722987878e-19"),
+    @pytest.mark.parametrize("target, m, values, tail", [
+        # (9, 5, 4): the first value with numpy's dispatched SIMD kernels,
+        # the second on its baseline path (NPY_DISABLE_CPU_FEATURES set to
+        # every dispatched feature), where n^-k can differ in the last bit
+        ((9, 5, 4), 200000, ("4.954803928258755e-17", "4.9534486755431484e-17"),
+         "5.13351303394262e-18"),
+        ((7, 3, 4), 10**6, ("-1.932568688411962e-14",), "1.1605312452820005e-15"),
+        ((10, 6, 4), 10**6, ("2.2104171791548222e-17",), "1.9457839722987878e-19"),
     ])
-    def test_baseline_residuals_are_pinned(self, target, m, value, tail):
+    def test_baseline_residuals_are_pinned(self, target, m, values, tail):
         # exact zeros by duality: the values are rounding, past the tail
         # bound, which covers truncation only
         from mzvkit.span import duality_target
 
         r = z_eval(duality_target(*target), m)
-        assert (repr(r.value), repr(r.tail_bound)) == (value, tail)
+        assert repr(r.value) in values
+        assert repr(r.tail_bound) == tail
         assert abs(r.value) > r.tail_bound
 
     def test_rejects_divergent(self):

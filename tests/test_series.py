@@ -14,6 +14,7 @@ from mzvkit.series import (
     delta_exp,
     delta_on_series,
     delta_subst,
+    divide,
     divide_by_v_minus_w,
     geometric_inverse,
 )
@@ -215,6 +216,62 @@ class TestGeometricInverse:
             geometric_inverse(Series3.single(P("x"), (1, 0, 0), 3))
         with pytest.raises(ValueError):
             geometric_inverse(Series3.scalar(2, 3))
+
+
+class TestDivide:
+    """divide(f, g) is the z with f*z = g, and divide(f, g, left=False) the
+    z with z*f = g, exactly, over noncommuting coefficients."""
+
+    @staticmethod
+    def _random(rng, order, constant):
+        # multi-word int and Fraction coefficients; without constant, no
+        # term sits at degree 0
+        terms = []
+        for _ in range(rng.randrange(1, 10)):
+            d = rng.randint(0 if constant else 1, max(order, 1))
+            a = rng.randint(0, d)
+            b = rng.randint(0, d - a)
+            terms.append(((a, b, d - a - b), TestGradedStorageOracle._poly(rng)))
+        return Series3(order, terms)
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_random_quotients_solve_their_side(self, order):
+        rng = random.Random(20261020 + order)
+        for _ in range(15):
+            f = one(order) + self._random(rng, order, constant=False)
+            g = self._random(rng, order, constant=True)
+            assert f * divide(f, g) == g
+            assert divide(f, g, left=False) * f == g
+
+    def test_sides_differ_and_a_swapped_side_fails(self):
+        # 1/(1-xu) y = sum x^m y u^m, y 1/(1-xu) = sum y x^m u^m
+        n = 4
+        f = one(n) - Series3.single(P("x"), (1, 0, 0), n)
+        g = Series3.from_poly(P("y"), n)
+        left, right = divide(f, g), divide(f, g, left=False)
+        for m in range(n + 1):
+            assert left.coeff((m, 0, 0)) == P("x" * m + "y")
+            assert right.coeff((m, 0, 0)) == P("y" + "x" * m)
+        assert left != right
+        assert f * right != g
+        assert left * f != g
+
+    def test_order_is_the_smaller(self):
+        f = one(3) - Series3.single(P("x"), (0, 1, 0), 3)
+        g = Series3.single(P("y"), (0, 0, 1), 5)
+        assert divide(f, g).order == 3
+        assert divide(f, Series3(2, g.items()), left=False).order == 2
+
+    @pytest.mark.parametrize("constant", [
+        NcPoly.zero(), NcPoly.one().scale(2), NcPoly.one().scale(-1),
+        NcPoly.one() + P("x"), P("x"),
+    ])
+    def test_rejects_constant_term_other_than_one(self, constant):
+        f = Series3(3, {(0, 0, 0): constant, (1, 0, 0): P("y")})
+        g = Series3.from_poly(P("y"), 3)
+        for left in (True, False):
+            with pytest.raises(ValueError, match="constant term != 1"):
+                divide(f, g, left)
 
 
 class TestDeltaSubst:
