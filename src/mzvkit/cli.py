@@ -20,23 +20,28 @@ from math import comb
 
 DEFAULT_ORDER_EQ2 = 12
 DEFAULT_ORDER_EQ3 = 8
-# The largest --order of each identity, whose peak RSS stays under 1 GB.
-# Peak RSS of the process by order, and its growth:
-#   eq 3:   167, 372, 828 MB at 14, 15, 16; 2.2x per order, so 17
-#           would take about 1.8 GB;
-#   eq 2:   308, 690, 859, 952, 1000 MB at 10240, 16000, 18000, 19000,
-#           19500 (76 s at 19000); about N^1.9, so 19500 sits at 1 GB, with
-#           no headroom under a 1 GB address-space limit;
-#   lemmas: 17, 30, 112, 683, 998 MB at 120, 240, 480, 960, 1100; about
-#           6x per doubling (N^2.6), so 1121 would reach 1 GB.
-MAX_ORDER = {"2": 19000, "3": 16, "lemmas": 1100}
-# The largest verify corollary --weight whose peak RSS stays under 1 GB.
-# Weight 15, the largest measured, took 281 s and 369 MB in one process.
-# Weight 16 is a model, not a measurement: memory grew 3x from 14 to 15,
-# so 16 would take about 1.1 GB.
-MAX_COROLLARY_WEIGHT = 15
-# an index of larger weight, and a derive, delta or span output that could
-# be longer, is refused before any word is built
+# The largest value of each size argument that is one number, keyed
+# "<noun> of <argument>", whose peak RSS (ru_maxrss of the CLI process)
+# stays under 1 GB. Measured peaks and their growth:
+#   --eq 3:    167/372/828 MB at orders 14/15/16, 2.2x per order;
+#   --eq 2:    308/690/952/1000 MB at 10240/16000/19000/19500, N^1.9;
+#   lemmas:    17/112/683/998 MB at 120/480/960/1100, N^2.6;
+#   corollary: 369 MB at weight 15, 3x per weight (16: 1.1 GB by model);
+#   span:      170/377/805/1763 MB at 15/16/17/18 as JSON, 513/1125 as text
+#              at 17/18;
+#   dual:      413/812/1609 MB at index weights 5*10^6, 10^7, 2*10^7.
+# --eq all runs each identity, so it takes the smallest order.
+MAX_SIZE = {
+    "order of --eq 2": 19000,
+    "order of --eq 3": 16,
+    "order of --eq lemmas": 1100,
+    "weight of verify corollary": 15,
+    "weight of span": 17,
+    "weight of dual": 10**7,
+}
+MAX_SIZE["order of --eq all"] = min(v for k, v in MAX_SIZE.items() if k.startswith("order"))
+# an index of larger weight, and a derive or delta output that could be
+# longer, is refused before any word is built
 MAX_OUTPUT_LETTERS = 10**8
 
 Result = tuple[int, object, str | None]
@@ -48,13 +53,19 @@ def _order(args, fallback: int) -> int:
     return fallback if args.order is None else args.order
 
 
-def _check_order(eq: str, order: int | None):
-    """Refuse an order past the MAX_ORDER of an identity that --eq runs;
-    --eq all runs each of them."""
-    limit = min(top for e, top in MAX_ORDER.items() if eq in (e, "all"))
-    if order is not None and order > limit:
-        raise ValueError(f"order {order} of --eq {eq} exceeds {limit}, the largest "
+def _check_size(what: str, size: int | None) -> int | None:
+    """size, refused past MAX_SIZE[what] before anything of it is built."""
+    limit = MAX_SIZE[what]
+    if size is not None and size > limit:
+        noun, of = what.split(" of ", 1)
+        raise ValueError(f"{noun} {size} of {of} exceeds {limit}, the largest "
                          "whose peak memory stays under 1 GB")
+    return size
+
+
+def _check_order(eq: str, order: int | None):
+    """Refuse an order past the limit of the identities that --eq runs."""
+    _check_size(f"order of --eq {eq}", order)
 
 
 def _index(text: str) -> tuple[int, ...]:
@@ -67,18 +78,6 @@ def _index(text: str) -> tuple[int, ...]:
         raise ValueError(f"index of weight {sum(parts)} exceeds the bound of "
                          f"{MAX_OUTPUT_LETTERS} letters")
     return parts
-
-
-def _span_weight(k: int) -> int:
-    """The weight k, refused when the derivation span generators at weight
-    k could exceed MAX_OUTPUT_LETTERS: d_n maps each of the 2^(k-n-2)
-    admissible words of weight k-n to at most (k-n) * 2^(n-1) words of k
-    letters, which over n = 1..k-2 sums to k * 2^(k-3) * (k(k-1)/2 - 1)
-    letters. Any k > 64 exceeds the bound, so no huge power of 2 is built."""
-    if k > 64 or k >= 3 and k * 2 ** (k - 3) * (k * (k - 1) // 2 - 1) > MAX_OUTPUT_LETTERS:
-        raise ValueError(f"span generators at weight {k} may exceed "
-                         f"{MAX_OUTPUT_LETTERS} letters")
-    return k
 
 
 def _parse_word_or_index(text: str) -> str:
@@ -152,10 +151,7 @@ def cmd_verify_theorem(args) -> Result:
 
 
 def cmd_verify_corollary(args) -> Result:
-    k = _span_weight(args.weight)
-    if k > MAX_COROLLARY_WEIGHT:
-        raise ValueError(f"weight {k} of verify corollary exceeds {MAX_COROLLARY_WEIGHT}, "
-                         "the largest whose peak memory stays under 1 GB")
+    k = _check_size("weight of verify corollary", args.weight)
     from . import span
 
     if args.m is None and args.l is None:
@@ -177,7 +173,9 @@ def cmd_verify_corollary(args) -> Result:
 def cmd_dual(args) -> Result:
     from .maps import dual_index, index_to_str
 
-    d = index_to_str(dual_index(_index(args.index)))
+    parts = _index(args.index)
+    _check_size("weight of dual", sum(parts))
+    d = index_to_str(dual_index(parts))
     return 0, {"dual": d}, d
 
 
@@ -235,9 +233,10 @@ def cmd_residual(args) -> Result:
 
 
 def cmd_span(args) -> Result:
+    k = _check_size("weight of span", args.weight)
     from .span import span_basis
 
-    basis = span_basis(_span_weight(args.weight))
+    basis = span_basis(k)
     payload = {
         "weight": basis.weight,
         "generators": [

@@ -8,12 +8,13 @@ so results are deterministic for a fixed cutoff.
 One entry point, z_eval (zeta_eval is z_eval of one word), refuses any
 input before numpy loads: a cutoff below 1 or below the largest depth,
 partial sums of more than MAX_SUM_TERMS terms (cutoff + 1 for each node of
-the trie of reversed indices), then a tail bound that overflows. One
-kernel then walks n = 1..cutoff in blocks of BLOCK values. In each block
-it computes the powers n^-k once per distinct part, then sums each trie
-node once from its parent's values, so indices that share a suffix
-(k_j, ..., k_d) share its sums. A step sums two nodes in the real and
-imaginary lanes of one complex buffer, which is reused once no waiting
+the trie of reversed indices, checked for the deepest index before the
+trie is built and for the whole trie after), then a tail bound that
+overflows. One kernel then walks n = 1..cutoff in blocks of BLOCK values.
+In each block it computes the powers n^-k once per distinct part, then
+sums each trie node once from its parent's values, so indices that share a
+suffix (k_j, ..., k_d) share its sums. A step sums two nodes in the real
+and imaginary lanes of one complex buffer, which is reused once no waiting
 node reads it. Each node carries its last sum into slot 0 of the next
 block, so every per-index value is the same float as the one-index,
 full-length nested cumulative sum gives. Memory is about (buffers +
@@ -175,6 +176,13 @@ def _partial_sums(schedule, m: int) -> dict:
     return sums
 
 
+def _check_work(nodes: int, m: int):
+    """Refuse nodes nested sums of m + 1 terms past MAX_SUM_TERMS in all."""
+    if (m + 1) * nodes > MAX_SUM_TERMS:
+        raise ValueError(f"{nodes} nested sums of {m + 1} terms: more than "
+                         f"{MAX_SUM_TERMS} terms in all")
+
+
 def zeta_eval(parts, m: int) -> EvalResult:
     """Partial sum of zeta(k1,...,kd) over m1 <= m: z_eval of its word."""
     parts = tuple(parts)
@@ -199,13 +207,14 @@ def z_eval(p: NcPoly, m: int) -> EvalResult:
     except OverflowError:
         raise ValueError("a coefficient does not fit in a float") from None
     indices = [parts for parts, _ in terms if parts]
-    if m < max(map(len, indices), default=0):
+    depth = max(map(len, indices), default=0)
+    if m < depth:
         raise ValueError("cutoff smaller than depth")
+    # an index of depth d puts d nodes on the trie, so the deepest is
+    # checked before the trie is built
+    _check_work(depth, m)
     schedule = _schedule(indices)
-    nodes = schedule[1]
-    if (m + 1) * nodes > MAX_SUM_TERMS:
-        raise ValueError(f"{nodes} nested sums of {m + 1} terms: more than "
-                         f"{MAX_SUM_TERMS} terms in all")
+    _check_work(schedule[1], m)
     tail = 0.0
     try:
         for parts, c in terms:

@@ -83,7 +83,10 @@ class MembershipCertificate(NamedTuple):
     def from_dict(cls, data: dict) -> "MembershipCertificate":
         """Inverse of to_dict(). Raises ValueError naming the first bad field:
         'target' (NcPoly.from_dict's error, prefixed 'target: '), 'combination',
-        or combination[i] and its field as parse_term names them, or its .n."""
+        or combination[i] and its field as parse_term names them, or its .n,
+        also when d_n(word) has a weight n + len(word) that no target word
+        has (so a zero target takes no entries), which verify() would
+        otherwise expand in full."""
         if not isinstance(data, dict) or "target" not in data:
             raise ValueError("certificate needs a 'target'")
         try:
@@ -92,6 +95,7 @@ class MembershipCertificate(NamedTuple):
             raise ValueError(f"target: {exc}") from None
         if not isinstance(data.get("combination"), list):
             raise ValueError("certificate needs a 'combination' list")
+        weights = set(map(len, target.terms))
         combination = []
         for i, t in enumerate(data["combination"]):
             where = f"combination[{i}]"
@@ -99,6 +103,9 @@ class MembershipCertificate(NamedTuple):
             n = t.get("n")
             if type(n) is not int or n < 1:
                 raise ValueError(f"{where}.n is not an int >= 1: {n!r}")
+            if n + len(w) not in weights:
+                raise ValueError(f"{where}.n = {n} on a {len(w)}-letter word gives weight "
+                                 f"{n + len(w)}, which no target word has")
             combination.append((n, w, c))
         return cls(target, combination)
 

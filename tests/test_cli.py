@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import mzvkit
-from mzvkit.cli import MAX_OUTPUT_LETTERS, _check_order, _dump, _span_weight, main
+from mzvkit.cli import MAX_OUTPUT_LETTERS, MAX_SIZE, _check_size, _dump, main
 from mzvkit.ncpoly import NcPoly
-from mzvkit.span import MembershipCertificate, span_basis
+from mzvkit.span import MembershipCertificate
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -371,9 +371,16 @@ def _write(tmp_path, text):
     return str(path)
 
 
+def _nested_residual(tmp_path, cutoff):
+    """residual of (2), (2,1), ..., (2,1,...,1) of depth 11: 21 trie nodes."""
+    words = {"x" + "y" * j: 1 for j in range(1, 12)}
+    return ["residual", _write(tmp_path, json.dumps(NcPoly(words).to_dict())), "--cutoff", cutoff]
+
+
 # Inputs too deep for a finite tail bound or for the recursion limit, whose
 # partial sums would take more than numeric.MAX_SUM_TERMS terms, whose derive
-# or delta output could not fit in memory, or whose word ends in a newline.
+# or delta output could not fit in memory, whose size is past its measured
+# 1 GB limit, or whose word ends in a newline.
 HOSTILE = {
     "eval-depth172": lambda tmp: ["eval", _deep_index(172), "--cutoff", "1000"],
     "eval-depth400": lambda tmp: ["eval", _deep_index(400), "--cutoff", "500"],
@@ -387,11 +394,14 @@ HOSTILE = {
     # 10^400 + 1 terms: past the work bound, though a float cannot hold the
     # cutoff, so the tail bound overflows too
     "eval-cutoff-1e400": lambda tmp: ["eval", "(2)", "--cutoff", "1" + "0" * 400],
-    # (2), (2,1), ..., (2,1,...,1) of depth 11: 21 trie nodes of 10^9 + 1 terms
-    "residual-past-work-bound": lambda tmp: [
-        "residual",
-        _write(tmp, json.dumps(NcPoly({"x" + "y" * j: 1 for j in range(1, 12)}).to_dict())),
-        "--cutoff", "1000000000",
+    # (2), (2,1), ..., (2,1,...,1) of depth 11: 21 trie nodes of 10^9 + 1
+    # terms, refused by its deepest index; at 5 * 10^8 + 1 terms, by its trie
+    "residual-past-work-bound": lambda tmp: _nested_residual(tmp, "1000000000"),
+    "residual-trie-past-work-bound": lambda tmp: _nested_residual(tmp, "500000000"),
+    # one word of depth 10^6 (about 1 MB): refused before its trie is built
+    "residual-depth-1e6": lambda tmp: [
+        "residual", _write(tmp, json.dumps(NcPoly.word("x" + "y" * 10**6).to_dict())),
+        "--cutoff", "1000000",
     ],
     "residual-nested-json": lambda tmp: [
         "residual", _write(tmp, "[" * 100000 + "]" * 100000), "--cutoff", "100",
@@ -425,7 +435,23 @@ HOSTILE = {
         "verify", "theorem", "--eq", "lemmas", "--order", "100000",
     ],
     "theorem-order-1e9": lambda tmp: ["verify", "theorem", "--order", "1000000000"],
+    # 1763 MB as JSON and 1125 MB as text at weight 18
+    "span-weight-18": lambda tmp: ["span", "--weight", "18"],
+    # 1609 MB at index weight 2*10^7
+    "dual-weight-2e7": lambda tmp: ["dual", "(20000000)"],
 }
+
+_PAST_1GB = ", the largest whose peak memory stays under 1 GB"
+# every entry of cli.MAX_SIZE with the line that refuses one past it
+SIZE_LIMITS = [
+    ("order of --eq 2", 19000, "order 19001 of --eq 2 exceeds 19000"),
+    ("order of --eq 3", 16, "order 17 of --eq 3 exceeds 16"),
+    ("order of --eq lemmas", 1100, "order 1101 of --eq lemmas exceeds 1100"),
+    ("order of --eq all", 16, "order 17 of --eq all exceeds 16"),
+    ("weight of verify corollary", 15, "weight 16 of verify corollary exceeds 15"),
+    ("weight of span", 17, "weight 18 of span exceeds 17"),
+    ("weight of dual", 10**7, "weight 10000001 of dual exceeds 10000000"),
+]
 
 
 class TestHostileInput:
@@ -462,22 +488,22 @@ class TestHostileInput:
         )
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, refused",
         [
-            ["span", "--weight", "40"],
-            ["verify", "corollary", "--weight", "40"],
-            ["verify", "corollary", "--weight", "40", "--m", "1", "--l", "2"],
+            (["span", "--weight", "40"], "weight 40 of span exceeds 17"),
+            (["verify", "corollary", "--weight", "40"],
+             "weight 40 of verify corollary exceeds 15"),
+            (["verify", "corollary", "--weight", "40", "--m", "1", "--l", "2"],
+             "weight 40 of verify corollary exceeds 15"),
         ],
         ids=["span", "corollary", "corollary-m-l"],
     )
-    def test_infeasible_span_weight_exits_2(self, argv):
+    def test_infeasible_span_weight_exits_2(self, argv, refused):
         # d_1 alone maps 2^37 admissible words at weight 40; the weight is
         # refused before any generator is built
         r = _run_under_1gb(argv)
         assert (r.returncode, r.stdout) == (2, "")
-        assert r.stderr == (
-            "error: span generators at weight 40 may exceed 100000000 letters\n"
-        )
+        assert r.stderr == f"error: {refused}{_PAST_1GB}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -488,7 +514,7 @@ class TestHostileInput:
         ids=["corollary", "corollary-m-l"],
     )
     def test_infeasible_corollary_weight_exits_2(self, argv):
-        # within the letters bound, past the memory model's weight 15; refused
+        # past weight 15, the measured limit of verify corollary; refused
         # before any generator is built
         r = _run_under_1gb(argv)
         assert (r.returncode, r.stdout) == (2, "")
@@ -496,9 +522,13 @@ class TestHostileInput:
         assert r.stderr == (f"error: weight {k} of verify corollary exceeds 15, "
                             "the largest whose peak memory stays under 1 GB\n")
 
-    def test_infeasible_corollary_weight_loads_no_span(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv", [["verify", "corollary", "--weight", "16"], ["span", "--weight", "18"]],
+        ids=["corollary", "span"],
+    )
+    def test_infeasible_weight_loads_no_span(self, tmp_path, argv):
         r = subprocess.run(
-            [sys.executable, "-c", _LOADED_AFTER_MAIN, "verify", "corollary", "--weight", "16"],
+            [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
             capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
         )
         assert r.returncode == 2
@@ -517,16 +547,36 @@ class TestHostileInput:
         # refused before any series is built
         r = _run_under_1gb(HOSTILE[case](tmp_path))
         assert (r.returncode, r.stdout) == (2, "")
-        assert r.stderr == f"error: {refused}, the largest whose peak memory stays under 1 GB\n"
+        assert r.stderr == f"error: {refused}{_PAST_1GB}\n"
 
-    @pytest.mark.parametrize("eq, top", [("2", 19000), ("3", 16), ("lemmas", 1100), ("all", 16)])
-    def test_theorem_order_bound_is_the_stated_one(self, eq, top):
-        # the largest orders of cli.MAX_ORDER's memory model; --eq all takes
-        # the smallest
-        _check_order(eq, None)
-        _check_order(eq, top)
-        with pytest.raises(ValueError, match=f"order {top + 1} of --eq {eq} exceeds {top},"):
-            _check_order(eq, top + 1)
+    @pytest.mark.parametrize(
+        "case, refused",
+        [
+            ("span-weight-18", f"weight 18 of span exceeds 17{_PAST_1GB}"),
+            ("dual-weight-2e7", f"weight 20000000 of dual exceeds 10000000{_PAST_1GB}"),
+            ("residual-depth-1e6",
+             "1000000 nested sums of 1000001 terms: more than 10000000000 terms in all"),
+        ],
+        ids=["span-weight-18", "dual-weight-2e7", "residual-depth-1e6"],
+    )
+    def test_past_a_measured_limit_exits_2(self, tmp_path, case, refused):
+        # each would take more than 1 GB; refused before any word is built
+        r = _run_under_1gb(HOSTILE[case](tmp_path))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"error: {refused}\n"
+
+    def test_size_limits_are_the_table(self):
+        assert MAX_SIZE == {what: top for what, top, _ in SIZE_LIMITS}
+
+    @pytest.mark.parametrize("what, top, refused", SIZE_LIMITS, ids=[w for w, _, _ in SIZE_LIMITS])
+    def test_size_bound_is_the_stated_one(self, what, top, refused):
+        # the limit passes, and one past it raises the exact line; --eq all
+        # takes the smallest order, and no --order is refused
+        assert _check_size(what, top) == top
+        assert _check_size(what, None) is None
+        with pytest.raises(ValueError) as exc:
+            _check_size(what, top + 1)
+        assert str(exc.value) == refused + _PAST_1GB
 
     def test_long_word_at_order_0_exits_2(self, tmp_path):
         # refused before any letter's image is multiplied, though the output
@@ -575,24 +625,6 @@ class TestHostileInput:
                 assert code == (2 if loop_refuses(n, size) else 0), (n, size)
                 refused += code == 2
         assert 0 < refused < len(orders) * len(sizes)
-
-    def test_span_weight_bound_cuts_between_18_and_19(self):
-        # 18 * 2^15 * 152 = 8.97e7 letters pass, 19 * 2^16 * 170 = 2.12e8 do not
-        assert _span_weight(18) == 18
-        for k in (19, 65, 10**12):
-            with pytest.raises(ValueError, match=f"at weight {k} may exceed"):
-                _span_weight(k)
-
-    def test_span_weight_bound_holds(self):
-        # the letters the generator images really hold: exact at weight 3,
-        # 140 of the bound's 180 at weight 5, where terms merge or cancel
-        def bound(k):
-            return k * 2 ** (k - 3) * (k * (k - 1) // 2 - 1)
-
-        letters = {k: sum(len(g.image) * k for g in span_basis(k).generators)
-                   for k in range(3, 10)}
-        assert (letters[3], letters[5], bound(5)) == (6, 140, 180)
-        assert all(letters[k] <= bound(k) for k in letters)
 
     def test_long_index_within_the_bound_still_evaluates(self, capsys):
         # zeta(10^7) summed to 10 is 1 + 2^-(10^7) + ..., which is 1.0
@@ -834,12 +866,15 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
         (HOSTILE["eval-cutoff-1e400"],
          f"1 nested sums of 1{'0' * 399}1 terms: more than 10000000000 terms in all"),
         (HOSTILE["residual-past-work-bound"],
-         "21 nested sums of 1000000001 terms: more than 10000000000 terms in all"),
+         "11 nested sums of 1000000001 terms: more than 10000000000 terms in all"),
+        (HOSTILE["residual-trie-past-work-bound"],
+         "21 nested sums of 500000001 terms: more than 10000000000 terms in all"),
         (lambda tmp: ["eval", _deep_index(200), "--cutoff", "1000"],
          "tail bound overflows double precision at cutoff 1000: an index is too deep"
          " or a coefficient too large for a bound"),
     ],
-    ids=["cutoff-0", "below-depth", "eval-work-bound", "residual-work-bound", "tail-bound"],
+    ids=["cutoff-0", "below-depth", "eval-work-bound", "residual-work-bound",
+         "residual-trie-work-bound", "tail-bound"],
 )
 def test_refusal_loads_no_numpy(tmp_path, argv, refused):
     # z_eval makes every refusal of its input, in order, before numpy loads

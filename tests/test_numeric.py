@@ -415,6 +415,16 @@ class TestZEval:
         with pytest.raises(ValueError, match="more than 3003 terms"):
             zeta_eval((2, 1, 1), 1001)
 
+    def test_bounds_the_deepest_index_before_the_trie(self, monkeypatch):
+        # an index of depth d puts d nodes on the trie: depth 10^4 at cutoff
+        # 10^6 is past the bound before any node is made
+        def schedule(indices):
+            raise AssertionError("trie built before the work bound check")
+
+        monkeypatch.setattr(numeric, "_schedule", schedule)
+        with pytest.raises(ValueError, match="^10000 nested sums of 1000001 terms"):
+            z_eval(NcPoly.word("x" + "y" * 10**4), 10**6)
+
     def test_rejects_cutoff_below_depth(self):
         with pytest.raises(ValueError, match="smaller than depth"):
             z_eval(NcPoly({"xy": 1, "xyyy": 1}), 2)

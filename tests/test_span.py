@@ -488,9 +488,11 @@ class TestCorollary:
             ("coeff", None, "combination[0] needs a 'coeff'"),
             ("coeff", "1/0", "combination[0].coeff"),
             ("coeff", True, "combination[0].coeff"),
+            # d_20 of the entry's word has a weight that no target word has
+            ("n", 20, "combination[0].n"),
         ],
         ids=["n-str", "n-zero", "n-bool", "n-missing", "word-xz", "word-int",
-             "coeff-missing", "coeff-1/0", "coeff-bool"],
+             "coeff-missing", "coeff-1/0", "coeff-bool", "n-weight"],
     )
     def test_from_dict_names_bad_term_field(self, key, value, field):
         # value None removes the key
@@ -513,9 +515,12 @@ class TestCorollary:
             ({"target": [], "combination": []}, "target: "),
             ({"target": {"terms": [{"word": "xz", "coeff": "1"}]}, "combination": []},
              "target: terms[0].word"),
+            # a zero target has no weight, so it takes no entries
+            ({"target": {"terms": []}, "combination": [{"n": 1, "word": "xy", "coeff": "1"}]},
+             "combination[0].n"),
         ],
         ids=["list", "no-target", "no-combination", "combination-dict", "term-str",
-             "target-list", "target-word-xz"],
+             "target-list", "target-word-xz", "zero-target-entry"],
     )
     def test_from_dict_names_bad_field(self, data, field):
         with pytest.raises(ValueError, match=re.escape(field)):
