@@ -27,8 +27,8 @@ DEFAULT_ORDER_EQ3 = 8
 #   --eq 2:    308/690/952/1000 MB at 10240/16000/19000/19500, N^1.9;
 #   lemmas:    17/112/683/998 MB at 120/480/960/1100, N^2.6;
 #   corollary: 369 MB at weight 15, 3x per weight (16: 1.1 GB by model);
-#   span:      170/377/805/1763 MB at 15/16/17/18 as JSON, 513/1125 as text
-#              at 17/18;
+#   span:      170/377/805/1763 MB at 15/16/17/18 as JSON, 168/356 as text
+#              at 17/18 (the cap holds for both);
 #   dual:      413/812/1609 MB at index weights 5*10^6, 10^7, 2*10^7.
 # --eq all runs each identity, so it takes the smallest order.
 MAX_SIZE = {
@@ -237,6 +237,9 @@ def cmd_span(args) -> Result:
     from .span import span_basis
 
     basis = span_basis(k)
+    text = f"weight {basis.weight}: {len(basis.generators)} generators"
+    if args.format == "text" and not args.out:
+        return 0, None, text  # no JSON is written, so none is built
     payload = {
         "weight": basis.weight,
         "generators": [
@@ -244,7 +247,7 @@ def cmd_span(args) -> Result:
             for g in basis.generators
         ],
     }
-    return 0, payload, f"weight {basis.weight}: {len(basis.generators)} generators"
+    return 0, payload, text
 
 
 # -- parser -----------------------------------------------------------

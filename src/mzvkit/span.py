@@ -59,11 +59,6 @@ class MembershipCertificate(NamedTuple):
             accumulate(acc, derivation(n, NcPoly._of(terms)).terms.items())
         return den, acc
 
-    def expand(self) -> NcPoly:
-        """Re-expand the combination by direct derivation calls."""
-        den, acc = self._expanded()
-        return NcPoly._of(acc).scale(Fraction(1, den))
-
     def verify(self) -> bool:
         """True iff the combination expands to the target, compared in
         integers: den * expansion against den * target."""
@@ -145,6 +140,17 @@ class SpanSolver:
     creation order, which is right for any pivot word: each pivot row was
     reduced against every earlier one.
 
+    Most dependent generators are skipped, not reduced to zero. The
+    derivations commute, so for m < n, d_n(d_m(w)) = d_m(d_n(w)) is an
+    integer relation among the generators (_relations). Each relation whose
+    combination of images expands to 0 is echeloned in integers at its
+    largest generator index, and the leads are skipped (_dependent). A lead
+    is an integer combination of earlier images, so skipping it changes no
+    pivot row and no pivot order, and the certificates are the same. A
+    dependent generator that is no lead is reduced to zero, as before. The
+    least-used counts stay over all generator images: over the pivot
+    generators alone they move the pivot words, and memberships slow down.
+
     Elimination is fraction-free over Python ints (Bareiss-style) on
     augmented rows: one integer dict per column whose word keys hold the
     vector and whose int keys hold the generator combination producing it.
@@ -169,7 +175,10 @@ class SpanSolver:
         gens = self.basis.generators
         # how many generator images contain each word
         uses = Counter(chain.from_iterable(gen.image.terms for gen in gens))
+        dependent = _dependent(k, gens)
         for j, gen in enumerate(gens):
+            if j in dependent:
+                continue
             row = gen.image.terms  # a fresh dict; images have int coefficients
             row[j] = 1
             self._reduce(row, j)
@@ -184,21 +193,8 @@ class SpanSolver:
     def _reduce(self, row: dict[str | int, int], own: int):
         """Clear every pivot word of row in place; row[own] is its scale."""
         for word, pivot in self.pivots.items():
-            c = row.get(word)
-            if not c:
-                continue
-            lead = pivot[word]
-            g = gcd(lead, c)
-            a, neg = lead // g, -c // g
-            if a != 1:
-                for key in row:
-                    row[key] *= a
-            accumulate_scaled(row, pivot, neg)
-            if abs(row[own]) != 1:
-                g = gcd(*row.values())
-                if g != 1:
-                    for key in row:
-                        row[key] //= g
+            if word in row:
+                _clear(row, word, pivot, own)
 
     @property
     def rank(self) -> int:
@@ -222,6 +218,67 @@ class SpanSolver:
             for i, c in sorted(row.items())
         ]
         return MembershipCertificate(target, combination)
+
+
+def _clear(row: dict, key, pivot: dict, own) -> None:
+    """Clear row[key] (nonzero) in place with pivot, whose entry at key is
+    its lead: row times lead/g, minus c/g times pivot, g = gcd(lead, c).
+    Then divide out the row's content, unless row[own] is +-1 (own None:
+    always)."""
+    c, lead = row[key], pivot[key]
+    g = gcd(lead, c)
+    a = lead // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    accumulate_scaled(row, pivot, -c // g)
+    if own is None or abs(row[own]) != 1:
+        g = gcd(*row.values())
+        if g > 1:
+            for k in row:
+                row[k] //= g
+
+
+def _relations(k: int, gens: list[SpanGenerator]):
+    """Integer rows r over the indices of the weight-k generators with
+    sum_j r[j] * image_j = 0, one for each m < n and each w, in (m, n, w)
+    order: w is the letter x when k - m - n = 1, else each admissible word
+    of weight k - m - n. [d_m, d_n](w) = 0 gives d_n(d_m(w)) = d_m(d_n(w)),
+    and every word u of d_m(w) is admissible, so
+    d_n(d_m(w)) = sum_u [u]d_m(w) * d_n(u)."""
+    index = {(g.n, g.word): j for j, g in enumerate(gens)}
+    for m in range(1, k):
+        for n in range(m + 1, k - m):
+            rest = k - m - n
+            for w in ("x",) if rest == 1 else admissible_words(rest):
+                p = NcPoly.word(w)
+                row: dict[int, int] = {}
+                accumulate(row, ((index[n, u], c) for u, c in derivation(m, p).terms.items()))
+                accumulate(row, ((index[m, u], -c) for u, c in derivation(n, p).terms.items()))
+                if row:
+                    yield row
+
+
+def _dependent(k: int, gens: list[SpanGenerator]) -> set[int]:
+    """Indices of generators whose image is an integer combination of the
+    images before it: the leads of an integer echelon of the relations.
+    A relation is used only if its combination of images expands to 0.
+    Each row is rewritten in place at its largest index, by the lead row
+    there, until it has a new lead or is zero."""
+    leads: dict[int, dict[int, int]] = {}
+    for row in _relations(k, gens):
+        acc: dict[str, int] = {}
+        for j, c in row.items():
+            accumulate_scaled(acc, gens[j].image._terms, c)
+        if acc:
+            continue
+        while row:
+            j = max(row)
+            if j not in leads:
+                leads[j] = row
+                break
+            _clear(row, j, leads[j], None)
+    return set(leads)
 
 
 def _times(c: int | Fraction, den: int) -> int:

@@ -653,6 +653,30 @@ class TestSpanCommand:
         for g in data["generators"]:
             NcPoly.from_dict(g["image"])
 
+    def test_text_mode_builds_no_payload(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("text output must not build the JSON payload")
+
+        monkeypatch.setattr(NcPoly, "to_dict", refuse)
+        assert run(capsys, "span", "--weight", "6") == (0, "weight 6: 15 generators\n", "")
+
+    # the JSON that --format json prints and that --dump writes in either mode
+    SPAN6_SHA256 = "461f836018f0f6cd45e0d2a1131c09a099a5044ae37c8c57806b130236e48a30"
+
+    def test_json_digest(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "span", "--weight", "6")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SPAN6_SHA256
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dump_digest(self, capsys, tmp_path, fmt):
+        path = tmp_path / "span.json"
+        code, out, _ = run(capsys, "--format", fmt, "span", "--weight", "6", "--dump", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SPAN6_SHA256
+        if fmt == "text":
+            assert out == "weight 6: 15 generators\n"
+
 
 class TestPinnedOutput:
     @pytest.mark.parametrize(

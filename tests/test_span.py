@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import word_bits
+from mzvkit import span
 from mzvkit.identities import sum_word
 from mzvkit.maps import derivation, tau
 from mzvkit.ncpoly import NcPoly, accumulate
@@ -141,6 +142,13 @@ def _expand_per_term(cert):
     for n, w, c in cert.combination:
         accumulate(acc, derivation(n, NcPoly.word(w)).scale(c).terms.items())
     return NcPoly._of(acc)
+
+
+def _expand_grouped(cert):
+    """The combination summed per n in integers and expanded by one
+    derivation call per n, as verify() does, divided back by its lcm."""
+    den, acc = cert._expanded()
+    return NcPoly._of(acc).scale(Fraction(1, den))
 
 
 MUTANT_KINDS = ["dropped term", "changed n", "coefficient + 1", "term listed twice"]
@@ -381,6 +389,84 @@ class TestPivotRule:
         assert k * (k - 1) // 2 < members < len(targets)
 
 
+def _full_build(k, monkeypatch):
+    """SpanSolver(k) with no relations, so every generator is reduced, and
+    the indices of the generators whose column reduced to zero."""
+    with monkeypatch.context() as mp:
+        mp.setattr(span, "_relations", lambda k, gens: iter(()))
+        full = SpanSolver(k)
+    # the generator of each pivot row is its largest int key
+    independent = {max(key for key in row if isinstance(key, int)) for row in full.pivots.values()}
+    return full, set(range(len(full.basis.generators))) - independent
+
+
+def _assert_same_build(solver, full):
+    """Same pivots in the same order, same pivot rows, same certificates."""
+    assert list(solver.pivots) == list(full.pivots)
+    assert solver.pivots == full.pivots
+    k = solver.weight
+    for m in range(1, k):
+        for l in range(1, k - m + 1):
+            target = duality_target(k, m, l)
+            cert = solver.membership(target)
+            assert cert is not None and cert == full.membership(target), (m, l)
+
+
+class TestCommutationRelations:
+    """The generators SpanSolver skips are the leads of the commutation
+    relations [d_m, d_n] = 0, and skipping them changes no pivot row."""
+
+    def test_derivations_commute_on_x(self):
+        # [d_m, d_n] is a derivation and both kill x + y, so it is 0 iff it
+        # kills x; m + n <= 14 covers every relation up to weight 15
+        x = P("x")
+        pairs = 0
+        for n in range(2, 14):
+            for m in range(1, min(n, 15 - n)):
+                assert derivation(n, derivation(m, x)) == derivation(m, derivation(n, x)), (m, n)
+                pairs += 1
+        assert pairs == 42
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_leads_are_the_dependent_generators(self, k, monkeypatch):
+        full, dependent = _full_build(k, monkeypatch)
+        gens = full.basis.generators
+        assert span._dependent(k, gens) == dependent
+        solver = SpanSolver(k)
+        assert solver.rank == full.rank == len(gens) - len(dependent)
+        assert solver.basis == full.basis
+        _assert_same_build(solver, full)
+
+    @pytest.mark.parametrize("kind", ["flipped sign", "dropped relation", "false row"])
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    def test_bad_relations_change_no_certificate(self, k, kind, monkeypatch):
+        full, dependent = _full_build(k, monkeypatch)
+        gens = full.basis.generators
+        relations = span._relations
+        last = sum(1 for _ in relations(k, gens)) - 1
+        j = max(set(range(len(gens))) - dependent)  # an independent generator
+
+        def mutated(k, gens):
+            if kind == "false row":
+                yield {j: 1}
+            for i, row in enumerate(relations(k, gens)):
+                if i == last and kind == "flipped sign":
+                    key = next(iter(row))
+                    row[key] = -row[key]
+                if i != last or kind != "dropped relation":
+                    yield row
+
+        monkeypatch.setattr(span, "_relations", mutated)
+        leads = span._dependent(k, gens)
+        if kind == "false row":
+            assert leads == dependent  # refused by the check
+        else:
+            # the last relation holds a lead of its own; without it the
+            # loop reduces that generator to zero, as a full build does
+            assert leads < dependent and len(leads) == len(dependent) - 1
+        _assert_same_build(SpanSolver(k), full)
+
+
 class TestGroupedVerify:
     """verify() sums the combination per n in integers; its verdict equals
     the term-by-term expansion's on certificates and on their mutants."""
@@ -390,7 +476,7 @@ class TestGroupedVerify:
             for _, _, cert in corollary_check_all(k):
                 expanded = _expand_per_term(cert)
                 assert expanded == cert.target
-                assert cert.expand() == expanded
+                assert _expand_grouped(cert) == expanded
                 assert cert.verify()
 
     def test_seeded_mutants(self):
@@ -404,7 +490,7 @@ class TestGroupedVerify:
                 kind = MUTANT_KINDS[sum(made.values()) % len(MUTANT_KINDS)]
                 mutant = MembershipCertificate(cert.target, _mutant(cert.combination, kind, rng))
                 expanded = _expand_per_term(mutant)
-                assert mutant.expand() == expanded, kind
+                assert _expand_grouped(mutant) == expanded, kind
                 assert expanded != cert.target and not mutant.verify(), kind
                 made[kind] += 1
         assert min(made[kind] for kind in MUTANT_KINDS) >= 40
@@ -413,7 +499,7 @@ class TestGroupedVerify:
         target = duality_target(7, 3, 2).scale(Fraction(-5, 6))
         cert = membership(target, 7)
         assert any(c.denominator > 1 for _, _, c in cert.combination)
-        assert _expand_per_term(cert) == cert.expand() == target
+        assert _expand_per_term(cert) == _expand_grouped(cert) == target
         assert cert.verify()
 
     def test_wrong_certificate_fails_both_routes(self):
@@ -427,7 +513,7 @@ class TestGroupedVerify:
         # a certificate read from JSON may carry a term with coefficient 0
         cert = corollary_check(8, 3, 2)
         padded = MembershipCertificate(cert.target, cert.combination + [(2, "xxyxy", Fraction(0))])
-        assert _expand_per_term(padded) == padded.expand() == cert.target
+        assert _expand_per_term(padded) == _expand_grouped(padded) == cert.target
         assert padded.verify()
 
     def test_malformed_word_raises_in_both_routes(self):
