@@ -23,7 +23,8 @@ DEFAULT_ORDER_EQ3 = 8
 # The largest value of each size argument that is one number, keyed
 # "<noun> of <argument>", whose peak RSS (ru_maxrss of the CLI process)
 # stays under 1 GB. Measured peaks and their growth:
-#   --eq 3:    167/372/828 MB at orders 14/15/16, 2.2x per order;
+#   --eq 3:    131/279/621 MB at orders 14/15/16, 2.2x per order (17 runs
+#              out of a 1 GB address-space limit past 1010 MB);
 #   --eq 2:    308/690/952/1000 MB at 10240/16000/19000/19500, N^1.9;
 #   lemmas:    17/112/683/998 MB at 120/480/960/1100, N^2.6;
 #   corollary: 369 MB at weight 15, 3x per weight (16: 1.1 GB by model);

@@ -7,7 +7,8 @@ formed (geometric_inverse is the quotient of 1). Also the automorphism
 Delta_t in two independent routes (the closed-form letter images
 multiplied left to right over a word, and exp of derivations, summed in
 integers and divided once), and the divided difference
-(F_v - F_w)/(v - w).
+(F_v - F_w)/(v - w) by synthetic division: one running sum per line
+(a, b + c) of a layer, to which each numerator term is added once.
 """
 
 from __future__ import annotations
@@ -300,20 +301,34 @@ def divide_by_v_minus_w(g: Series3) -> Series3:
     else NotDivisibleError. An order-0 g that vanishes there has no
     quotient (ValueError).
 
-    Then g = g - g|_(v=w), so each term p u^a v^b w^c contributes
-    p u^a (v^b - w^b)/(v-w) w^c = sum_{i<b} p u^a v^i w^(b-1-i+c): layer d
-    of g goes to layer d-1 of q, whose order is one less.
+    Synthetic division: (v-w)q = g gives q_(a,b-1,c) = g_(a,b,c) +
+    q_(a,b,c-1). So on each line (a, s = b+c) of a layer, one running
+    {word: coeff} sum walks b = s..1, adds each term of g once and is
+    copied out as q_(a,b-1,s-b); after it adds the term at b = 0 it holds
+    the w=v diagonal at (a, s, 0), which must be zero. Lines are walked in
+    ascending a, so the first nonzero one is the first in (total degree,
+    a, b, c) order. Layer d of g goes to layer d-1 of q, whose order is
+    one less.
     """
     quotient: list[dict[tuple, NcPoly]] = []
     for d, layer in enumerate(g._layers):
-        diagonal = accumulate({}, (((a, b + c, 0), p) for (a, b, c), p in layer.items()))
-        if diagonal:
-            m = min(diagonal)
-            raise NotDivisibleError(m, diagonal[m])
+        lines: dict[int, dict[int, NcPoly]] = {}
+        for (a, b, _), p in layer.items():
+            lines.setdefault(a, {})[b] = p
+        out: dict[tuple, NcPoly] = {}
+        for a in sorted(lines):
+            line, s = lines[a], d - a
+            running: dict = {}
+            for b in range(s, -1, -1):
+                p = line.get(b)
+                if p is not None:
+                    accumulate(running, p._terms.items())
+                if b and running:
+                    out[(a, b - 1, s - b)] = NcPoly._of(dict(running))
+            if running:
+                raise NotDivisibleError((a, s, 0), NcPoly._of(running))
         if d:
-            quotient.append(accumulate({}, (
-                ((a, i, b - 1 - i + c), p) for (a, b, c), p in layer.items() for i in range(b)
-            )))
+            quotient.append(out)
     if not quotient:
         raise ValueError("truncation order must be >= 0: an order-0 series has no quotient")
     return Series3._of(quotient)

@@ -165,13 +165,12 @@ class TestDualityK1:
 
     def test_specializations_reproduce_kawasaki_tanaka_cases(self):
         # u=0 and v=0 in the identity each still hold
-        from mzvkit.identities import _rhs_duality_k1_parts, duality_k1_lhs
+        from mzvkit.identities import _k1_numerator, _k1_rest, duality_k1_lhs
         from mzvkit.series import divide_by_v_minus_w
 
         order = 5
         lhs = Series3(order - 1, duality_k1_lhs(order).items())
-        numerator, rest = _rhs_duality_k1_parts(order)
-        rhs = divide_by_v_minus_w(numerator) + rest
+        rhs = divide_by_v_minus_w(_k1_numerator(order)) + _k1_rest(order - 1)
         for var in ("u", "v"):
             assert _subs_zero(lhs, var) == _subs_zero(rhs, var)
 
@@ -180,24 +179,16 @@ class TestDualityK1:
         # Only the numerator needs the extra degree for the (v-w) division;
         # the rest and the lhs built at order-1 equal the full-order series
         # truncated to order-1.
-        from mzvkit.identities import (
-            _Blocks,
-            _inner2,
-            _rhs_duality_k1_parts,
-            duality_k1_lhs,
-        )
+        from mzvkit.identities import _k1_rest, duality_k1_lhs
 
-        full = _inner2(_Blocks(order)) - _inner2(_Blocks(order, "u"))
-        _, rest = _rhs_duality_k1_parts(order)
-        assert rest == Series3(order - 1, full.items())
+        assert _k1_rest(order - 1) == Series3(order - 1, _k1_rest(order).items())
         assert duality_k1_lhs(order - 1) == Series3(order - 1, duality_k1_lhs(order).items())
 
     def test_coefficients_stay_int(self):
         # the k1 series is integral, so no coefficient falls back to Fraction
-        from mzvkit.identities import _rhs_duality_k1_parts, duality_k1_lhs
+        from mzvkit.identities import _k1_numerator, _k1_rest, duality_k1_lhs
 
-        numerator, rest = _rhs_duality_k1_parts(6)
-        for series in (duality_k1_lhs(6), numerator, rest):
+        for series in (duality_k1_lhs(6), _k1_numerator(6), _k1_rest(6)):
             coeffs = [c for _, p in series.items() for c in p.terms.values()]
             assert coeffs and all(type(c) is int for c in coeffs)
 
@@ -224,6 +215,41 @@ class TestDualityK1:
         assert report.order == 3
         assert report.failing_monomial == (0, 1, 0)
         assert report.failing_diff == "xx + xy"
+
+    @pytest.mark.parametrize("order", [3, 6, 9])
+    def test_flipped_rest_fails_at_first_monomial(self, monkeypatch, order):
+        # Negating inner2 flips the sign of the (1 - Delta_u) term, so the
+        # division still succeeds and the comparison with the lhs must fail
+        # at the same first monomial, with the same coefficient, at every
+        # order.
+        import mzvkit.identities as identities
+
+        real = identities._inner2
+        monkeypatch.setattr(identities, "_inner2", lambda b: -real(b))
+        report = verify_duality_k1(order)
+        assert not report.passed
+        assert report.order == order - 1
+        assert report.failing_monomial == (1, 0, 0)
+        assert report.failing_diff == "2*xxxy - 2*xxyy - 2*xyxy"
+
+    def test_word_pair_products_at_order_9(self, monkeypatch):
+        # The count of word-pair products (one per pair of terms that the
+        # product kernel multiplies) is deterministic. The per-variable
+        # groupings of inner1 and inner2 bring it from 64,389 to 53,524;
+        # a regrouping that gives that back fails here.
+        import mzvkit.series as series
+
+        count = 0
+        real = series.accumulate_product
+
+        def counting(acc, p, q):
+            nonlocal count
+            count += len(p.terms) * len(q.terms)
+            return real(acc, p, q)
+
+        monkeypatch.setattr(series, "accumulate_product", counting)
+        assert verify_duality_k1(9).passed
+        assert count <= 53524
 
 
 # The Delta sides of the proof lemmas, as built on a _Blocks.
@@ -339,6 +365,13 @@ class TestFailureLocalization:
         assert not report.passed
         assert report.failing_monomial == (0, 1, 1)
         assert report.failing_diff == "-1/7*xy"
+
+    def test_equal_series_of_different_orders_pass_at_the_smaller(self):
+        f = conjecture_lhs_series(5)
+        short = Series3(3, f.items())
+        for lhs, rhs in ((f, short), (short, f)):
+            assert compare_series("truncated", lhs, rhs) == IdentityReport("truncated", 3, True)
+        assert compare_series("same", f, f) == IdentityReport("same", 5, True)
 
     def test_report_json(self):
         r = IdentityReport("demo", 4, False, (1, 0, 0), "xy")

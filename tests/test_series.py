@@ -400,6 +400,84 @@ class TestDeltaOnSeries:
         )
 
 
+def _quotient_by_expansion(g: Series3) -> Series3:
+    """The independent oracle for divide_by_v_minus_w: a separate pass
+    sums each layer's w=v diagonal and raises at its first nonzero
+    monomial; then each term p u^a v^b w^c expands to
+    sum_{i<b} p u^a v^i w^(b-1-i+c)."""
+    for d in range(g.order + 1):
+        diagonal = {}
+        for (a, b, c), p in g.items():
+            if a + b + c == d:
+                diagonal[(a, b + c, 0)] = diagonal.get((a, b + c, 0), NcPoly.zero()) + p
+        nonzero = sorted(m for m, p in diagonal.items() if p)
+        if nonzero:
+            raise NotDivisibleError(nonzero[0], diagonal[nonzero[0]])
+    return Series3(g.order - 1, [
+        ((a, i, b - 1 - i + c), p) for (a, b, c), p in g.items() for i in range(b)
+    ])
+
+
+def _random_poly(rng) -> NcPoly:
+    """Up to three random words with random nonzero Fraction coefficients."""
+    return NcPoly(
+        ("".join(rng.choice("xy") for _ in range(rng.randrange(4))),
+         Fraction(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1)))
+        for _ in range(3)
+    )
+
+
+def _random_series(rng, order, degrees, count=30):
+    """count random terms of total degree in degrees, with u-degrees
+    0..order and _random_poly coefficients."""
+    terms = []
+    for _ in range(count):
+        d = rng.choice(degrees)
+        a = rng.randrange(d + 1)
+        b = rng.randrange(d - a + 1)
+        terms.append(((a, b, d - a - b), _random_poly(rng)))
+    return Series3(order, terms)
+
+
+class TestDivideByVMinusWAgainstExpansion:
+    # The running-sum division against the per-term expansion, on seeded
+    # random series over several u-degrees.
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_same_quotient_of_a_multiple(self, n, seed):
+        rng = random.Random(1000 * n + seed)
+        h = _random_series(rng, n, range(n))
+        v = Series3.single(NcPoly.one(), (0, 1, 0), n)
+        w = Series3.single(NcPoly.one(), (0, 0, 1), n)
+        g = (v - w) * h
+        assert len({a for (a, _, _), _ in g.items()}) > 1
+        q = divide_by_v_minus_w(g)
+        assert q == _quotient_by_expansion(g)
+        assert q == Series3(n - 1, h.items())
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("first_bad", [0, 1, 2, 4])
+    def test_same_error_when_not_divisible(self, first_bad, seed):
+        # every layer below first_bad divides; the terms added at first_bad
+        # and above break the diagonal there
+        n = 6
+        rng = random.Random(100 * first_bad + seed)
+        v = Series3.single(NcPoly.one(), (0, 1, 0), n)
+        w = Series3.single(NcPoly.one(), (0, 0, 1), n)
+        g = (
+            (v - w) * _random_series(rng, n, range(n))
+            + _random_series(rng, n, [first_bad], count=3)
+            + _random_series(rng, n, range(first_bad + 1, n + 1), count=8)
+        )
+        with pytest.raises(NotDivisibleError) as expected:
+            _quotient_by_expansion(g)
+        assert sum(expected.value.monomial) == first_bad
+        with pytest.raises(NotDivisibleError) as info:
+            divide_by_v_minus_w(g)
+        assert info.value.monomial == expected.value.monomial
+        assert info.value.coeff == expected.value.coeff
+
+
 class TestDivideByVMinusW:
     def test_simple_factor(self):
         n = 4
@@ -430,19 +508,11 @@ class TestDivideByVMinusW:
         # h has multi-word coefficients, v-exponents up to n-1 and total
         # degree <= n-1, so (v-w)*h is exact at order n
         rng = random.Random(20261018 + n)
-
-        def poly():
-            return NcPoly(
-                ("".join(rng.choice("xy") for _ in range(rng.randrange(4))),
-                 Fraction(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((1, -1)))
-                for _ in range(3)
-            )
-
-        terms = [((0, n - 1, 0), poly())]
+        terms = [((0, n - 1, 0), _random_poly(rng))]
         for _ in range(30):
             b = rng.randrange(n)
             a = rng.randrange(n - b)
-            terms.append(((a, b, rng.randrange(n - a - b)), poly()))
+            terms.append(((a, b, rng.randrange(n - a - b)), _random_poly(rng)))
         h = Series3(n, terms)
         assert max(b for (_, b, _), _ in h.items()) == n - 1
         assert max(len(p) for _, p in h.items()) > 1
