@@ -8,12 +8,14 @@ Each handler imports the library layers it runs, so a command loads only
 those; importing this module loads none of them.
 
 Exit status: 0 when all requested checks pass, 1 on a verification failure,
-2 on usage errors.
+2 on usage errors. ``run`` is the process entry point (``python -m
+mzvkit.cli`` and the ``mzvkit`` script): ``main``, then a frozen collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from math import comb
@@ -345,5 +347,16 @@ def main(argv=None) -> int:
     return code
 
 
+def run(argv=None) -> int:
+    """main(argv)'s exit code, for a process that exits next. The collector
+    is frozen once main is done, so interpreter exit does not traverse the
+    objects still alive, none of them in a cycle to collect; atexit
+    handlers, stream flushes and module teardown still run."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

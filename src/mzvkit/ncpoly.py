@@ -3,7 +3,8 @@
 Words are plain strings over the two-letter alphabet 'x', 'y'; the empty
 string is the multiplicative identity.  Coefficients are exact rationals,
 `int | Fraction`: an integral coefficient enters as an `int`, any other as
-a `Fraction`, so integer work never pays for `Fraction`. Sums and products
+a `Fraction`, so integer work never pays for `Fraction`; the `fractions`
+module itself is imported only where a `Fraction` is built. Sums and products
 keep Python's own types, so an integral value may also be held as a
 `Fraction`; the two compare equal, hash equal and print the same.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 
 X = "x"
 Y = "y"
@@ -38,6 +38,8 @@ def parse_term(term, where: str) -> tuple[str, Fraction]:
     if "coeff" not in term:
         raise ValueError(f"{where} needs a 'coeff'")
     c = term["coeff"]
+    from fractions import Fraction
+
     try:
         if isinstance(c, bool):
             raise TypeError
@@ -123,6 +125,8 @@ def _q(c) -> int | Fraction:
     """c as an exact rational: an int when integral, else a Fraction."""
     if type(c) is int:
         return c
+    from fractions import Fraction
+
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -13,7 +13,6 @@ integers and divided once), and the divided difference
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, lcm
 
 from .maps import derivation
@@ -278,6 +277,9 @@ def delta_exp(var: str, p: NcPoly, order: int) -> Series3:
             break
         weight //= scale * j
         total = total + cur.scale(weight)
+    # imported here, as in ncpoly, so that a run that builds no Fraction does not load it
+    from fractions import Fraction
+
     return total.scale(Fraction(1, denominator))
 
 

@@ -224,7 +224,8 @@ def _clear(row: dict, key, pivot: dict, own) -> None:
     """Clear row[key] (nonzero) in place with pivot, whose entry at key is
     its lead: row times lead/g, minus c/g times pivot, g = gcd(lead, c).
     Then divide out the row's content, unless row[own] is +-1 (own None:
-    always)."""
+    always). The content is almost always 1, so its scan stops at the first
+    entry that makes it 1."""
     c, lead = row[key], pivot[key]
     g = gcd(lead, c)
     a = lead // g
@@ -233,7 +234,11 @@ def _clear(row: dict, key, pivot: dict, own) -> None:
             row[k] *= a
     accumulate_scaled(row, pivot, -c // g)
     if own is None or abs(row[own]) != 1:
-        g = gcd(*row.values())
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+            if g == 1:
+                return
         if g > 1:
             for k in row:
                 row[k] //= g

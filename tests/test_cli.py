@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -838,6 +839,56 @@ def test_installed_console_script():
     assert r.stdout.strip() == "(2,1,1)"
 
 
+# Prepended to a script that runs the CLI in a fresh process: every
+# corollary case fails (so verify corollary exits 1), and an atexit hook
+# writes whether the collector is frozen as the last line of stderr.
+_EXIT_PROBE = """\
+import atexit, gc, sys
+import mzvkit.span
+mzvkit.span.membership = lambda target, k: None
+atexit.register(lambda: print(f"frozen: {gc.get_freeze_count() > 0}", file=sys.stderr))
+"""
+
+# What python -m mzvkit.cli does.
+_AS_MODULE = """\
+import runpy
+runpy.run_module("mzvkit.cli", run_name="__main__")
+"""
+
+
+def _main_in_process(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["dual", "(4)"], 0), (["--format", "json", "verify", "theorem", "--order", "3"], 0),
+     (["verify", "corollary", "--weight", "3"], 1), (["dual", "(1,2)"], 2), (["verify"], 2)],
+    ids=["dual", "theorem", "falsified", "usage", "argparse-usage"],
+)
+@pytest.mark.parametrize("entry", ["module", "console-script"])
+def test_process_exit_freezes_the_collector(capsys, monkeypatch, tmp_path, entry, argv, code):
+    # the process entry points print what main prints and exit with its code,
+    # and the collector is frozen by the time atexit handlers run
+    if entry == "module":
+        cmd = [sys.executable, "-c", _EXIT_PROBE + _AS_MODULE, *argv]
+    else:
+        cmd = [sys.executable, "-c", _EXIT_PROBE + _CONSOLE_SCRIPT, _script_target("mzvkit"), *argv]
+    r = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    monkeypatch.setattr("mzvkit.span.membership", lambda target, k: None)
+    frozen = gc.get_freeze_count()
+    expected = _main_in_process(capsys, argv)
+    assert gc.get_freeze_count() == frozen  # main alone freezes nothing
+    assert expected[0] == code
+    assert (r.returncode, r.stdout, r.stderr) == (code, expected[1], expected[2] + "frozen: True\n")
+
+
 # Runs mzvkit.cli.main on the arguments, then prints the loaded modules
 # as the last line of stdout.
 _LOADED_AFTER_MAIN = """\
@@ -849,27 +900,32 @@ sys.exit(code)
 """
 
 
+# fractions loads only where a Fraction is built: a certificate's
+# coefficients (span, which verify corollary and span load) and the
+# coefficients read from a JSON file (residual)
 @pytest.mark.parametrize(
-    "argv, layers, numpy",
+    "argv, layers, numpy, fractions",
     [
-        (lambda tmp: [], set(), False),
+        (lambda tmp: [], set(), False, False),
         (lambda tmp: ["verify", "theorem", "--order", "3"],
-         {"ncpoly", "maps", "series", "identities"}, False),
-        (lambda tmp: ["verify", "corollary", "--weight", "4"], {"ncpoly", "maps", "span"}, False),
-        (lambda tmp: ["span", "--weight", "4"], {"ncpoly", "maps", "span"}, False),
+         {"ncpoly", "maps", "series", "identities"}, False, False),
+        (lambda tmp: ["verify", "corollary", "--weight", "4"], {"ncpoly", "maps", "span"},
+         False, True),
+        (lambda tmp: ["span", "--weight", "4"], {"ncpoly", "maps", "span"}, False, True),
         (lambda tmp: ["residual", _write(tmp, json.dumps(NcPoly({"xy": 1}).to_dict())),
                       "--cutoff", "10"],
-         {"ncpoly", "maps", "numeric"}, True),
-        (lambda tmp: ["eval", "(2,1)", "--cutoff", "10"], {"ncpoly", "maps", "numeric"}, True),
-        (lambda tmp: ["dual", "(4)"], {"ncpoly", "maps"}, False),
-        (lambda tmp: ["derive", "1", "xy"], {"ncpoly", "maps"}, False),
+         {"ncpoly", "maps", "numeric"}, True, True),
+        (lambda tmp: ["eval", "(2,1)", "--cutoff", "10"], {"ncpoly", "maps", "numeric"},
+         True, False),
+        (lambda tmp: ["dual", "(4)"], {"ncpoly", "maps"}, False, False),
+        (lambda tmp: ["derive", "1", "xy"], {"ncpoly", "maps"}, False, False),
         (lambda tmp: ["delta", "--var", "u", "--order", "2", "xy"],
-         {"ncpoly", "maps", "series"}, False),
+         {"ncpoly", "maps", "series"}, False, False),
     ],
     ids=["import", "theorem", "corollary", "span", "residual", "eval", "dual", "derive",
          "delta"],
 )
-def test_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
+def test_command_loads_only_its_layers(tmp_path, argv, layers, numpy, fractions):
     # each run starts a fresh interpreter, so nothing is loaded beforehand
     r = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv(tmp_path)],
@@ -879,6 +935,7 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers, numpy):
     loaded = set(r.stdout.splitlines()[-1].split())
     assert {m.split(".", 1)[1] for m in loaded if m.startswith("mzvkit.")} == layers | {"cli"}
     assert ("numpy" in loaded) == numpy
+    assert ("fractions" in loaded) == fractions
     assert "dataclasses" not in loaded
 
 

@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,7 @@ from conftest import word_bits
 from mzvkit import span
 from mzvkit.identities import sum_word
 from mzvkit.maps import derivation, tau
-from mzvkit.ncpoly import NcPoly, accumulate
+from mzvkit.ncpoly import NcPoly, accumulate, accumulate_scaled
 from mzvkit.span import (
     MembershipCertificate,
     NotInSpanError,
@@ -279,6 +280,62 @@ class TestAugmentedRows:
             for i, c in combo.items():
                 expected = expected + gens[i].image.scale(c)
             assert NcPoly(words.items()) == expected
+
+
+def _clear_whole_row_gcd(row, key, pivot, own):
+    """span._clear with the content taken by one gcd over the whole row;
+    returns the content it divided out (1 when it divided nothing)."""
+    c, lead = row[key], pivot[key]
+    g = gcd(lead, c)
+    a = lead // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    accumulate_scaled(row, pivot, -c // g)
+    if own is None or abs(row[own]) != 1:
+        g = gcd(*row.values())
+        if g > 1:
+            for k in row:
+                row[k] //= g
+            return g
+    return 1
+
+
+class TestClearContent:
+    """_clear stops its content scan at the first unit gcd, and leaves each
+    row as the whole-row gcd leaves it."""
+
+    def test_matches_whole_row_gcd(self):
+        rng = random.Random(1017)
+        seen = Counter()
+        key = "xy"  # every other word has 3 to 5 letters
+        for _ in range(3000):
+            words = {"".join(rng.choices("xy", k=rng.randint(3, 5))) for _ in range(rng.randint(0, 6))}
+            f = rng.choice([1, 1, 2, 3, 6, 35])  # a common factor of row and pivot
+            pivot = {key: rng.randint(1, 12) * f}
+            for w in words:
+                pivot[w] = rng.choice([-1, 1]) * rng.randint(1, 30) * f
+            if rng.random() < 0.2:  # a multiple of the pivot: clears to {} with own None
+                m = rng.choice([-3, -1, 2, 5])
+                row = {w: m * c for w, c in pivot.items()}
+            else:
+                row = {key: rng.choice([-1, 1]) * rng.randint(1, 40) * f}
+                for w in rng.sample(sorted(words), len(words) // 2):
+                    row[w] = rng.choice([-1, 1]) * rng.randint(1, 40) * f
+            own = rng.choice([None, 0])
+            if own is not None:
+                row[own] = rng.choice([-1, 1]) * (1 if rng.random() < 0.3 else rng.randint(1, 20) * f)
+            new, old = dict(row), dict(row)
+            span._clear(new, key, pivot, own)
+            content = _clear_whole_row_gcd(old, key, pivot, own)
+            assert new == old, (row, pivot, own)
+            seen["empty"] += not new
+            seen["content above 1"] += content > 1
+            seen["negative"] += any(v < 0 for v in row.values())
+            seen["own None"] += own is None
+            seen["unit own"] += own is not None and abs(new[own]) == 1
+        assert min(seen[case] for case in
+                   ("empty", "content above 1", "negative", "own None", "unit own")) >= 50, seen
 
 
 class TestFractionOracle:

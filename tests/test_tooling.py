@@ -91,3 +91,34 @@ def test_workflow_certificate_check(tmp_path):
     r = check()
     assert r.returncode == 1
     assert "another target" in r.stderr
+
+
+def _step_script(name):
+    """The run: block of the workflow step called name, dedented."""
+    lines = WORKFLOW.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {name}")
+    start = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |") + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].strip().startswith("- name:")),
+               len(lines))
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    return "\n".join(line[indent:] for line in lines[start:end])
+
+
+def test_workflow_dev_mode_check(tmp_path):
+    # the step's own commands pass; its check fails a command that exits
+    # nonzero and shows that command's stderr
+    script = _step_script("CLI runs exit cleanly under -X dev -W error")
+    path = os.pathsep.join([str(Path(sys.executable).parent), os.environ["PATH"]])
+    env = dict(os.environ, PATH=path, RUNNER_TEMP=str(tmp_path))
+
+    def bash(text):
+        return subprocess.run(["bash", "-e", "-c", text], capture_output=True, text=True,
+                              cwd=ROOT, env=env)
+
+    r = bash(script)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert (tmp_path / "c7.json").is_file()
+    definition = script.split("\ncheck ", 1)[0]
+    r = bash(definition + '\ncheck dual "(1,2)"')
+    assert r.returncode == 1
+    assert r.stdout == "error: dual undefined for non-admissible index (1, 2)\n"
