@@ -29,7 +29,8 @@ DEFAULT_ORDER_EQ3 = 8
 #              out of a 1 GB address-space limit past 1010 MB);
 #   --eq 2:    308/690/952/1000 MB at 10240/16000/19000/19500, N^1.9;
 #   lemmas:    17/112/683/998 MB at 120/480/960/1100, N^2.6;
-#   corollary: 369 MB at weight 15, 3x per weight (16: 1.1 GB by model);
+#   corollary: 88/197/500 MB at weights 13/14/15 with --certificates,
+#              2.5x per weight (16: 1.3 GB by model);
 #   span:      170/377/805/1763 MB at 15/16/17/18 as JSON, 168/356 as text
 #              at 17/18 (the cap holds for both);
 #   dual:      413/812/1609 MB at index weights 5*10^6, 10^7, 2*10^7.
@@ -64,11 +65,6 @@ def _check_size(what: str, size: int | None) -> int | None:
         raise ValueError(f"{noun} {size} of {of} exceeds {limit}, the largest "
                          "whose peak memory stays under 1 GB")
     return size
-
-
-def _check_order(eq: str, order: int | None):
-    """Refuse an order past the limit of the identities that --eq runs."""
-    _check_size(f"order of --eq {eq}", order)
 
 
 def _index(text: str) -> tuple[int, ...]:
@@ -132,7 +128,7 @@ def _dump(obj) -> str:
 # -- subcommand handlers ----------------------------------------------
 
 def cmd_verify_theorem(args) -> Result:
-    _check_order(args.eq, args.order)
+    _check_size(f"order of --eq {args.eq}", args.order)
     from . import identities
 
     reports = []

@@ -7,10 +7,8 @@ lcm. Fractions appear only in the certificate coefficients."""
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -126,19 +124,15 @@ class SpanSolver:
 
     Rows are the words of the weight. Pivot rule: columns are processed in
     generator order and reduced against every pivot so far; one that is
-    not reduced to zero pivots at its least-used nonzero word, the one
-    fewest generator images contain (a static Markowitz count, taken once
-    per weight), ties going to the largest word (x < y).
+    not reduced to zero pivots at its largest nonzero word (x < y).
     Generator j becomes a pivot exactly when its image is not in the span
     of the images of generators 0..j-1, whatever word a column pivots at.
     So the pivot generators do not depend on the pivot word, and a
     certificate, a combination of those independent generators, is unique.
-    The word sets only the fill-in: a pivot row is merged into each later
-    column that holds its word, and a word few images contain is held by
-    few, so the least-used word fills in less than the largest word, and
-    that in far less than the least word. _reduce clears the pivots in
-    creation order, which is right for any pivot word: each pivot row was
-    reduced against every earlier one.
+    The word sets only the fill-in, and so the time. _reduce clears the
+    pivots in creation order, which is right for any pivot word: each pivot
+    row was reduced against every earlier one. A membership target is
+    reduced by the same _reduce.
 
     Most dependent generators are skipped, not reduced to zero. The
     derivations commute, so for m < n, d_n(d_m(w)) = d_m(d_n(w)) is an
@@ -147,9 +141,7 @@ class SpanSolver:
     largest generator index, and the leads are skipped (_dependent). A lead
     is an integer combination of earlier images, so skipping it changes no
     pivot row and no pivot order, and the certificates are the same. A
-    dependent generator that is no lead is reduced to zero, as before. The
-    least-used counts stay over all generator images: over the pivot
-    generators alone they move the pivot words, and memberships slow down.
+    dependent generator that is no lead is reduced to zero, as before.
 
     Elimination is fraction-free over Python ints (Bareiss-style) on
     augmented rows: one integer dict per column whose word keys hold the
@@ -173,8 +165,6 @@ class SpanSolver:
         self.basis = span_basis(k) if k >= 2 else SpanBasis(k, [])
         self.pivots: dict[str, dict[str | int, int]] = {}
         gens = self.basis.generators
-        # how many generator images contain each word
-        uses = Counter(chain.from_iterable(gen.image.terms for gen in gens))
         dependent = _dependent(k, gens)
         for j, gen in enumerate(gens):
             if j in dependent:
@@ -184,7 +174,7 @@ class SpanSolver:
             self._reduce(row, j)
             words = [key for key in row if type(key) is str]
             if words:
-                word = max(words, key=lambda w: (-uses[w], w))
+                word = max(words)
                 if row[word] < 0:
                     for key in row:
                         row[key] = -row[key]
