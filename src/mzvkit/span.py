@@ -153,11 +153,12 @@ class SpanSolver:
     row is multiplied by lead/g and the pivot's multiple c/g subtracted
     through accumulate_scaled, g = gcd(lead, c); as the lead is positive,
     the row is cross-multiplied only when the lead does not divide c. The
-    common gcd is divided out after each step. Each integer vector is a
-    nonzero multiple of the one that rational elimination would reach (a
-    sign is such a multiple), so the supports, the pivots and the (unique)
-    certificate coefficients are the same. Fractions enter only to clear a
-    target's denominators and to write a certificate.
+    row's content, own key included, is divided out after each step. Each
+    integer vector is a nonzero multiple of the one that rational
+    elimination would reach (a sign is such a multiple), so the supports,
+    the pivots and the (unique) certificate coefficients are the same.
+    Fractions enter only to clear a target's denominators and to write a
+    certificate.
     """
 
     def __init__(self, k: int):
@@ -171,7 +172,7 @@ class SpanSolver:
                 continue
             row = gen.image.terms  # a fresh dict; images have int coefficients
             row[j] = 1
-            self._reduce(row, j)
+            self._reduce(row)
             words = [key for key in row if type(key) is str]
             if words:
                 word = max(words)
@@ -180,11 +181,11 @@ class SpanSolver:
                         row[key] = -row[key]
                 self.pivots[word] = row
 
-    def _reduce(self, row: dict[str | int, int], own: int):
-        """Clear every pivot word of row in place; row[own] is its scale."""
+    def _reduce(self, row: dict[str | int, int]):
+        """Clear every pivot word of row in place, in creation order."""
         for word, pivot in self.pivots.items():
             if word in row:
-                _clear(row, word, pivot, own)
+                _clear(row, word, pivot)
 
     @property
     def rank(self) -> int:
@@ -197,7 +198,7 @@ class SpanSolver:
             raise ValueError(f"mixed weight: target not homogeneous of weight {self.weight}")
         den, row = _cleared(target)
         row[TARGET] = 1
-        self._reduce(row, TARGET)
+        self._reduce(row)
         # now the word part == row[TARGET] * den * target + sum of row[i] * generator i
         scale = row.pop(TARGET)
         if any(type(key) is str for key in row):
@@ -210,12 +211,11 @@ class SpanSolver:
         return MembershipCertificate(target, combination)
 
 
-def _clear(row: dict, key, pivot: dict, own) -> None:
+def _clear(row: dict, key, pivot: dict) -> None:
     """Clear row[key] (nonzero) in place with pivot, whose entry at key is
     its lead: row times lead/g, minus c/g times pivot, g = gcd(lead, c).
-    Then divide out the row's content, unless row[own] is +-1 (own None:
-    always). The content is almost always 1, so its scan stops at the first
-    entry that makes it 1."""
+    Then divide out the row's content. The content is almost always 1, so
+    its scan stops at the first entry that makes it 1."""
     c, lead = row[key], pivot[key]
     g = gcd(lead, c)
     a = lead // g
@@ -223,15 +223,14 @@ def _clear(row: dict, key, pivot: dict, own) -> None:
         for k in row:
             row[k] *= a
     accumulate_scaled(row, pivot, -c // g)
-    if own is None or abs(row[own]) != 1:
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-            if g == 1:
-                return
-        if g > 1:
-            for k in row:
-                row[k] //= g
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for k in row:
+            row[k] //= g
 
 
 def _relations(k: int, gens: list[SpanGenerator]):
@@ -272,7 +271,7 @@ def _dependent(k: int, gens: list[SpanGenerator]) -> set[int]:
             if j not in leads:
                 leads[j] = row
                 break
-            _clear(row, j, leads[j], None)
+            _clear(row, j, leads[j])
     return set(leads)
 
 
@@ -317,9 +316,9 @@ def corollary_check(k: int, m: int, l: int) -> MembershipCertificate:
 
 
 def corollary_check_all(k: int) -> list[tuple[int, int, MembershipCertificate]]:
-    """All valid (m, l) at weight k; every case must certify."""
-    if k < 2:
-        raise ValueError("weight must be >= 2")
+    """All valid (m, l) at weight k >= 3; every case must certify."""
+    if k < 3:
+        raise ValueError("weight must be >= 3: every duality target below weight 3 is 0")
     out = []
     for m in range(1, k):
         for l in range(1, k - m + 1):

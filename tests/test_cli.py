@@ -253,8 +253,9 @@ class TestVerifyCorollary:
             "derivation span at weight 4\n"
         )
 
-    @pytest.mark.parametrize("weight", ["1", "0", "-3"])
-    def test_weight_below_two_is_usage_error(self, capsys, weight):
+    @pytest.mark.parametrize("weight", ["2", "1", "0", "-3"])
+    def test_weight_below_three_is_usage_error(self, capsys, weight):
+        # every duality target below weight 3 is 0: a PASS would be vacuous
         code, out, err = run(capsys, "verify", "corollary", "--weight", weight)
         assert code == 2
         assert "PASS" not in out

@@ -139,6 +139,30 @@ class TestDualityZeta:
         with pytest.raises(ValueError):
             verify_duality_zeta(order)
 
+    @pytest.mark.parametrize("order", [1, 2, 5, 12])
+    @pytest.mark.parametrize("perturb", [None, "xy/(1-yu)", "Delta_u"])
+    def test_report_equals_paper_form(self, monkeypatch, perturb, order):
+        # the check compares Delta_u(base) with x y/(1-yu), base = x/(1-xu)y;
+        # the paper's base - x y/(1-yu) = base - Delta_u(base) has the same
+        # difference series, so the report must be the same, pass or fail
+        import mzvkit.identities as identities
+
+        zeta_base, xy_over_yu = identities._zeta_base, identities._xy_over_yu
+        if perturb == "xy/(1-yu)":
+            monkeypatch.setattr(identities, "_xy_over_yu", lambda b: (
+                xy_over_yu(b) + Series3.single(P("xyy", 3), (1, 0, 0), b.order)))
+        elif perturb == "Delta_u":
+            monkeypatch.setattr(identities, "_zeta_base", lambda b: (
+                zeta_base(b) - Series3.single(P("xxy", 2), (0, 0, 0), b.order)
+                if b.var == "u" else zeta_base(b)))
+        b, bu = identities._Blocks(order), identities._Blocks(order, "u")
+        base = identities._zeta_base(b)
+        paper = compare_series("duality-zeta", base - identities._xy_over_yu(b),
+                               base - identities._zeta_base(bu))
+        report = verify_duality_zeta(order)
+        assert report == paper
+        assert report.passed == (perturb is None)
+
     def test_u_coefficients_are_dualized_single_zetas(self):
         # build both sides separately: coefficient of u^m is (1-tau)(x^(m+1)y)
         from mzvkit.identities import _Blocks

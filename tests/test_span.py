@@ -282,7 +282,7 @@ class TestAugmentedRows:
             assert NcPoly(words.items()) == expected
 
 
-def _clear_whole_row_gcd(row, key, pivot, own):
+def _clear_whole_row_gcd(row, key, pivot):
     """span._clear with the content taken by one gcd over the whole row;
     returns the content it divided out (1 when it divided nothing)."""
     c, lead = row[key], pivot[key]
@@ -292,18 +292,18 @@ def _clear_whole_row_gcd(row, key, pivot, own):
         for k in row:
             row[k] *= a
     accumulate_scaled(row, pivot, -c // g)
-    if own is None or abs(row[own]) != 1:
-        g = gcd(*row.values())
-        if g > 1:
-            for k in row:
-                row[k] //= g
-            return g
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+        return g
     return 1
 
 
 class TestClearContent:
     """_clear stops its content scan at the first unit gcd, and leaves each
-    row as the whole-row gcd leaves it."""
+    row as the whole-row gcd leaves it, also a row whose own (int) key
+    holds +-1."""
 
     def test_matches_whole_row_gcd(self):
         rng = random.Random(1017)
@@ -315,7 +315,7 @@ class TestClearContent:
             pivot = {key: rng.randint(1, 12) * f}
             for w in words:
                 pivot[w] = rng.choice([-1, 1]) * rng.randint(1, 30) * f
-            if rng.random() < 0.2:  # a multiple of the pivot: clears to {} with own None
+            if rng.random() < 0.2:  # a multiple of the pivot: clears to {} unless an own key is added
                 m = rng.choice([-3, -1, 2, 5])
                 row = {w: m * c for w, c in pivot.items()}
             else:
@@ -326,8 +326,8 @@ class TestClearContent:
             if own is not None:
                 row[own] = rng.choice([-1, 1]) * (1 if rng.random() < 0.3 else rng.randint(1, 20) * f)
             new, old = dict(row), dict(row)
-            span._clear(new, key, pivot, own)
-            content = _clear_whole_row_gcd(old, key, pivot, own)
+            span._clear(new, key, pivot)
+            content = _clear_whole_row_gcd(old, key, pivot)
             assert new == old, (row, pivot, own)
             seen["empty"] += not new
             seen["content above 1"] += content > 1
@@ -629,9 +629,10 @@ class TestCorollary:
                 s = sum_word(k, m, l)
                 assert cert.target == s - tau(s)
 
-    @pytest.mark.parametrize("k", [1, 0, -3])
-    def test_all_cases_rejects_weight_below_two(self, k):
-        # below weight 2 there is no (m, l) case, so [] would pass vacuously
+    @pytest.mark.parametrize("k", [2, 1, 0, -3])
+    def test_all_cases_rejects_weight_below_three(self, k):
+        # below weight 3 every duality target is 0 (weight 2's one case is
+        # the self-dual word xy), so the check would pass vacuously
         with pytest.raises(ValueError):
             corollary_check_all(k)
 
