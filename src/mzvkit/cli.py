@@ -29,8 +29,11 @@ DEFAULT_ORDER_EQ3 = 8
 #              out of a 1 GB address-space limit past 1010 MB);
 #   --eq 2:    308/690/952/1000 MB at 10240/16000/19000/19500, N^1.9;
 #   lemmas:    17/112/683/998 MB at 120/480/960/1100, N^2.6;
-#   corollary: 88/197/500/1374 MB at weights 13/14/15/16 with
-#              --certificates (16: 243 s, a 96 MB file, run with no limit);
+#   corollary: 87/200/491/1374 MB at weights 13/14/15/16 with
+#              --certificates (15: 25-27 s; 16: 243 s, a 96 MB file, run
+#              with no limit before the skip set came from the lower
+#              weights, and since then 926 MB in process before the
+#              CLI's payload is built);
 #   span:      170/377/805/1763 MB at 15/16/17/18 as JSON, 168/356 as text
 #              at 17/18 (the cap holds for both);
 #   dual:      413/812/1609 MB at index weights 5*10^6, 10^7, 2*10^7.

@@ -12,7 +12,7 @@ from functools import cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .maps import derivation, sum_word, tau
+from .maps import derivation, dn_generator, sum_word, tau
 from .ncpoly import (
     NcPoly, accumulate, accumulate_scaled, admissible_words, check_word, parse_term,
 )
@@ -134,14 +134,19 @@ class SpanSolver:
     row was reduced against every earlier one. A membership target is
     reduced by the same _reduce.
 
-    Most dependent generators are skipped, not reduced to zero. The
-    derivations commute, so for m < n, d_n(d_m(w)) = d_m(d_n(w)) is an
-    integer relation among the generators (_relations). Each relation whose
-    combination of images expands to 0 is echeloned in integers at its
-    largest generator index, and the leads are skipped (_dependent). A lead
-    is an integer combination of earlier images, so skipping it changes no
-    pivot row and no pivot order, and the certificates are the same. A
-    dependent generator that is no lead is reduced to zero, as before.
+    Most dependent generators are skipped, not reduced to zero (_skipped).
+    Let (n, w) have w of weight r = k - n, the largest word of some
+    v = sum a_(m,u) d_m(u), m < n, u admissible of weight r - m or x. Then
+    d_n(v) = sum [w']v d_n(w') is [w]v (n, w) plus block n at smaller
+    words; and, as the derivations commute (Ihara-Kaneko-Zagier; the tests
+    check it for every m + n below the CLI's largest weight), it equals
+    sum a_(m,u) d_m(d_n(u)), a combination of blocks m < n. So skipping
+    (n, w) changes no pivot row and no certificate. Such w are the pivot
+    words of weight r after block n - 1 (_lower, with d_(r-1)(x) as block
+    r - 1), as each pivot is its row's largest word; at weights 3 to 12
+    they name exactly the dependent generators. A wrong skip could only drop a generator from the span, so
+    module-level membership retries on a build with no skip set
+    (_skip=False) before it answers None.
 
     Elimination is fraction-free over Python ints (Bareiss-style) on
     augmented rows: one integer dict per column whose word keys hold the
@@ -161,31 +166,12 @@ class SpanSolver:
     certificate.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, _skip: bool = True):
         self.weight = k
+        # the lower weights are built and freed before this weight's images
+        skip = _skipped(k) if _skip else set()
         self.basis = span_basis(k) if k >= 2 else SpanBasis(k, [])
-        self.pivots: dict[str, dict[str | int, int]] = {}
-        gens = self.basis.generators
-        dependent = _dependent(k, gens)
-        for j, gen in enumerate(gens):
-            if j in dependent:
-                continue
-            row = gen.image.terms  # a fresh dict; images have int coefficients
-            row[j] = 1
-            self._reduce(row)
-            words = [key for key in row if type(key) is str]
-            if words:
-                word = max(words)
-                if row[word] < 0:
-                    for key in row:
-                        row[key] = -row[key]
-                self.pivots[word] = row
-
-    def _reduce(self, row: dict[str | int, int]):
-        """Clear every pivot word of row in place, in creation order."""
-        for word, pivot in self.pivots.items():
-            if word in row:
-                _clear(row, word, pivot)
+        self.pivots = _echelon(self.basis.generators, skip)[0]
 
     @property
     def rank(self) -> int:
@@ -198,7 +184,7 @@ class SpanSolver:
             raise ValueError(f"mixed weight: target not homogeneous of weight {self.weight}")
         den, row = _cleared(target)
         row[TARGET] = 1
-        self._reduce(row)
+        _reduce(self.pivots, row)
         # now the word part == row[TARGET] * den * target + sum of row[i] * generator i
         scale = row.pop(TARGET)
         if any(type(key) is str for key in row):
@@ -209,6 +195,36 @@ class SpanSolver:
             for i, c in sorted(row.items())
         ]
         return MembershipCertificate(target, combination)
+
+
+def _echelon(gens: list[SpanGenerator], skip: set[tuple[int, str]]
+             ) -> tuple[dict[str, dict[str | int, int]], dict[int, int]]:
+    """(pivots, ends): the pivot rows of the generators not in skip, each
+    column reduced in generator order and pivoted at its largest word, and
+    ends[n] = the number of pivots after block n (ends[0] = 0)."""
+    pivots: dict[str, dict[str | int, int]] = {}
+    ends = {0: 0}
+    for j, gen in enumerate(gens):
+        if (gen.n, gen.word) not in skip:
+            row = gen.image.terms  # a fresh dict; images have int coefficients
+            row[j] = 1
+            _reduce(pivots, row)
+            words = [key for key in row if type(key) is str]
+            if words:
+                word = max(words)
+                if row[word] < 0:
+                    for key in row:
+                        row[key] = -row[key]
+                pivots[word] = row
+        ends[gen.n] = len(pivots)
+    return pivots, ends
+
+
+def _reduce(pivots: dict, row: dict[str | int, int]) -> None:
+    """Clear every pivot word of row in place, in creation order."""
+    for word, pivot in pivots.items():
+        if word in row:
+            _clear(row, word, pivot)
 
 
 def _clear(row: dict, key, pivot: dict) -> None:
@@ -233,48 +249,6 @@ def _clear(row: dict, key, pivot: dict) -> None:
             row[k] //= g
 
 
-def _relations(k: int, gens: list[SpanGenerator]):
-    """Integer rows r over the indices of the weight-k generators with
-    sum_j r[j] * image_j = 0, one for each m < n and each w, in (m, n, w)
-    order: w is the letter x when k - m - n = 1, else each admissible word
-    of weight k - m - n. [d_m, d_n](w) = 0 gives d_n(d_m(w)) = d_m(d_n(w)),
-    and every word u of d_m(w) is admissible, so
-    d_n(d_m(w)) = sum_u [u]d_m(w) * d_n(u)."""
-    index = {(g.n, g.word): j for j, g in enumerate(gens)}
-    for m in range(1, k):
-        for n in range(m + 1, k - m):
-            rest = k - m - n
-            for w in ("x",) if rest == 1 else admissible_words(rest):
-                p = NcPoly.word(w)
-                row: dict[int, int] = {}
-                accumulate(row, ((index[n, u], c) for u, c in derivation(m, p).terms.items()))
-                accumulate(row, ((index[m, u], -c) for u, c in derivation(n, p).terms.items()))
-                if row:
-                    yield row
-
-
-def _dependent(k: int, gens: list[SpanGenerator]) -> set[int]:
-    """Indices of generators whose image is an integer combination of the
-    images before it: the leads of an integer echelon of the relations.
-    A relation is used only if its combination of images expands to 0.
-    Each row is rewritten in place at its largest index, by the lead row
-    there, until it has a new lead or is zero."""
-    leads: dict[int, dict[int, int]] = {}
-    for row in _relations(k, gens):
-        acc: dict[str, int] = {}
-        for j, c in row.items():
-            accumulate_scaled(acc, gens[j].image._terms, c)
-        if acc:
-            continue
-        while row:
-            j = max(row)
-            if j not in leads:
-                leads[j] = row
-                break
-            _clear(row, j, leads[j])
-    return set(leads)
-
-
 def _times(c: int | Fraction, den: int) -> int:
     """den * c, for a den that c's denominator divides."""
     return c.numerator * (den // c.denominator)
@@ -288,12 +262,34 @@ def _cleared(p: NcPoly) -> tuple[int, dict[str, int]]:
 
 
 @cache
-def _solver(k: int) -> SpanSolver:
-    return SpanSolver(k)
+def _lower(r: int) -> tuple[list[str], dict[int, int]]:
+    """The pivot words of weight r in creation order and the block ends of
+    _echelon, with d_(r-1)(x) reduced last as a block r - 1 of its own."""
+    gens = span_basis(r).generators + [SpanGenerator(r - 1, "x", dn_generator(r - 1))]
+    pivots, ends = _echelon(gens, _skipped(r))
+    return list(pivots), ends
+
+
+def _skipped(k: int) -> set[tuple[int, str]]:
+    """The generators of weight k that SpanSolver skips. Block 1 has none,
+    so weight k - 1 is never built."""
+    skip = set()
+    for n in range(2, k - 1):
+        words, ends = _lower(k - n)
+        skip.update((n, w) for w in words[:ends[min(n - 1, k - n - 1)]])
+    return skip
+
+
+@cache
+def _solver(k: int, skip: bool = True) -> SpanSolver:
+    return SpanSolver(k, skip)
 
 
 def membership(target: NcPoly, k: int) -> MembershipCertificate | None:
-    return _solver(k).membership(target)
+    """Certificate if target lies in the weight-k span; before None, the
+    build with no skip set is tried, so a wrong skip can only cost time."""
+    cert = _solver(k).membership(target)
+    return cert if cert is not None else _solver(k, False).membership(target)
 
 
 def duality_target(k: int, m: int, l: int) -> NcPoly:

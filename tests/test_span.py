@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from conftest import word_bits
-from mzvkit import span
+from mzvkit import cli, span
 from mzvkit.identities import sum_word
 from mzvkit.maps import derivation, tau
 from mzvkit.ncpoly import NcPoly, accumulate, accumulate_scaled
@@ -449,10 +449,12 @@ class TestPivotRule:
 class TestSolverCost:
     def test_row_merges_at_weight_11(self, monkeypatch):
         # The count of row merges (accumulate_scaled calls) in a weight-11
-        # build and its 55 duality-target memberships is deterministic.
-        # Pivoting at the largest word brings it from 10,299 + 3,341 (the
-        # least-used word) to 8,990 + 2,423; a pivot rule that gives that
-        # back fails here.
+        # build, the lower-weight builds of its skip set included, and its
+        # 55 duality-target memberships is deterministic once the cache of
+        # lower-weight word lists is empty. Pivoting at the largest word
+        # and reading the skip set off the lower weights bring it to
+        # 3,667 + 2,423; giving either back, or echeloning the commutation
+        # relations again, fails here.
         count = 0
         real = span.accumulate_scaled
 
@@ -461,20 +463,19 @@ class TestSolverCost:
             count += 1
             return real(acc, terms, c)
 
+        span._lower.cache_clear()
         monkeypatch.setattr(span, "accumulate_scaled", counting)
         solver = SpanSolver(11)
         for m in range(1, 11):
             for l in range(1, 12 - m):
                 assert solver.membership(duality_target(11, m, l)) is not None
-        assert count <= 11413
+        assert count <= 6090
 
 
-def _full_build(k, monkeypatch):
-    """SpanSolver(k) with no relations, so every generator is reduced, and
+def _full_build(k):
+    """SpanSolver(k) with no skip set, so every generator is reduced, and
     the indices of the generators whose column reduced to zero."""
-    with monkeypatch.context() as mp:
-        mp.setattr(span, "_relations", lambda k, gens: iter(()))
-        full = SpanSolver(k)
+    full = SpanSolver(k, _skip=False)
     # the generator of each pivot row is its largest int key
     independent = {max(key for key in row if isinstance(key, int)) for row in full.pivots.values()}
     return full, set(range(len(full.basis.generators))) - independent
@@ -492,59 +493,84 @@ def _assert_same_build(solver, full):
             assert cert is not None and cert == full.membership(target), (m, l)
 
 
+@pytest.fixture
+def fresh_solvers():
+    """An empty cache of module-level solvers before and after the test, so
+    that no solver built on a mutated skip set outlives it."""
+    span._solver.cache_clear()
+    yield
+    span._solver.cache_clear()
+
+
 class TestCommutationRelations:
-    """The generators SpanSolver skips are the leads of the commutation
-    relations [d_m, d_n] = 0, and skipping them changes no pivot row."""
+    """The generators SpanSolver skips, read off the pivot words of the
+    lower weights, are exactly the dependent ones, and skipping them
+    changes no pivot row. The argument needs [d_m, d_n] = 0."""
 
     def test_derivations_commute_on_x(self):
         # [d_m, d_n] is a derivation and both kill x + y, so it is 0 iff it
-        # kills x; m + n <= 14 covers every relation up to weight 15
+        # kills x; the skip set at weight k uses m < n with m + n <= k - 1,
+        # so every pair up to the largest weight verify corollary admits
+        cap = cli.MAX_SIZE["weight of verify corollary"]
         x = P("x")
         pairs = 0
-        for n in range(2, 14):
-            for m in range(1, min(n, 15 - n)):
+        for n in range(2, cap - 1):
+            for m in range(1, min(n, cap - n)):
                 assert derivation(n, derivation(m, x)) == derivation(m, derivation(n, x)), (m, n)
                 pairs += 1
-        assert pairs == 42
+        assert pairs == sum((s - 1) // 2 for s in range(3, cap))
 
     @pytest.mark.parametrize("k", range(3, 13))
-    def test_leads_are_the_dependent_generators(self, k, monkeypatch):
-        full, dependent = _full_build(k, monkeypatch)
+    def test_leads_are_the_dependent_generators(self, k):
+        full, dependent = _full_build(k)
         gens = full.basis.generators
-        assert span._dependent(k, gens) == dependent
+        assert span._skipped(k) == {(gens[j].n, gens[j].word) for j in dependent}
         solver = SpanSolver(k)
         assert solver.rank == full.rank == len(gens) - len(dependent)
         assert solver.basis == full.basis
         _assert_same_build(solver, full)
 
-    @pytest.mark.parametrize("kind", ["flipped sign", "dropped relation", "false row"])
+    @pytest.mark.parametrize("kind", ["dropped block end", "independent word", "dropped d_(r-1)(x) word"])
     @pytest.mark.parametrize("k", [6, 8, 10])
-    def test_bad_relations_change_no_certificate(self, k, kind, monkeypatch):
-        full, dependent = _full_build(k, monkeypatch)
+    def test_bad_word_lists_change_no_certificate(self, k, kind, monkeypatch, fresh_solvers):
+        full, dependent = _full_build(k)
         gens = full.basis.generators
-        relations = span._relations
-        last = sum(1 for _ in relations(k, gens)) - 1
-        j = max(set(range(len(gens))) - dependent)  # an independent generator
+        skipped = span._skipped(k)  # the real word lists, cached before the mutation
+        false = gens[max(set(range(len(gens))) - dependent)]  # the last independent one
+        assert false.n >= 2  # block 1 reads no lower weight
+        lower = span._lower
 
-        def mutated(k, gens):
-            if kind == "false row":
-                yield {j: 1}
-            for i, row in enumerate(relations(k, gens)):
-                if i == last and kind == "flipped sign":
-                    key = next(iter(row))
-                    row[key] = -row[key]
-                if i != last or kind != "dropped relation":
-                    yield row
+        def mutated(r):
+            words, ends = lower(r)
+            if kind == "independent word" and r == k - false.n:
+                # its word first, ahead of every block end
+                return [false.word, *words], {i: e + 1 for i, e in ends.items()}
+            if kind == "dropped d_(r-1)(x) word":
+                return words, {**ends, r - 1: ends[r - 2]}
+            if kind == "dropped block end" and r > 2:  # block 1's pivots counted as none
+                return words, {**ends, 1: 0}
+            return words, ends
 
-        monkeypatch.setattr(span, "_relations", mutated)
-        leads = span._dependent(k, gens)
-        if kind == "false row":
-            assert leads == dependent  # refused by the check
-        else:
-            # the last relation holds a lead of its own; without it the
-            # loop reduces that generator to zero, as a full build does
-            assert leads < dependent and len(leads) == len(dependent) - 1
-        _assert_same_build(SpanSolver(k), full)
+        monkeypatch.setattr(span, "_lower", mutated)
+        if kind != "independent word":
+            # fewer skips: the dropped generators are reduced to zero
+            assert span._skipped(k) < skipped
+            _assert_same_build(SpanSolver(k), full)
+            return
+        assert span._skipped(k) == skipped | {(false.n, false.word)}
+        # no later generator can stand in for it, as all of those are
+        # skipped: the span loses it, and each target that needs it is
+        # certified by the build with no skip set
+        assert SpanSolver(k).rank == full.rank - 1
+        fallbacks = 0
+        for m in range(1, k):
+            for l in range(1, k - m + 1):
+                target = duality_target(k, m, l)
+                fallbacks += span._solver(k).membership(target) is None
+                expected = full.membership(target)
+                assert membership(target, k) == expected, (m, l)
+                assert corollary_check(k, m, l) == expected, (m, l)
+        assert fallbacks
 
 
 class TestGroupedVerify:
