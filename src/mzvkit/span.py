@@ -12,7 +12,7 @@ from functools import cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .maps import derivation, dn_generator, sum_word, tau
+from .maps import derivation, sum_word, tau
 from .ncpoly import (
     NcPoly, accumulate, accumulate_scaled, admissible_words, check_word, parse_term,
 )
@@ -25,7 +25,11 @@ class NotInSpanError(Exception):
 class SpanGenerator(NamedTuple):
     n: int
     word: str
-    image: NcPoly  # derivation(n, word), weight-homogeneous
+
+    @property
+    def image(self) -> NcPoly:
+        """derivation(n, word), weight-homogeneous, expanded on each access."""
+        return derivation(self.n, NcPoly.word(self.word))
 
 
 class SpanBasis(NamedTuple):
@@ -104,15 +108,12 @@ class MembershipCertificate(NamedTuple):
 
 
 def span_basis(k: int) -> SpanBasis:
-    """Images d_n(w) for n = 1..k-2 and admissible w of weight k-n, in
-    deterministic order (n ascending, words length-lex)."""
+    """The generators (n, w), n = 1..k-2, w admissible of weight k-n, in
+    deterministic order (n ascending, words length-lex); none is expanded."""
     if k < 2:
         raise ValueError("weight must be >= 2")
-    gens = []
-    for n in range(1, k - 1):
-        for w in admissible_words(k - n):
-            gens.append(SpanGenerator(n, w, derivation(n, NcPoly.word(w))))
-    return SpanBasis(k, gens)
+    return SpanBasis(k, [SpanGenerator(n, w) for n in range(1, k - 1)
+                         for w in admissible_words(k - n)])
 
 
 # The own key of a membership target's augmented row; generators use 0, 1, ...
@@ -134,19 +135,22 @@ class SpanSolver:
     row was reduced against every earlier one. A membership target is
     reduced by the same _reduce.
 
-    Most dependent generators are skipped, not reduced to zero (_skipped).
-    Let (n, w) have w of weight r = k - n, the largest word of some
-    v = sum a_(m,u) d_m(u), m < n, u admissible of weight r - m or x. Then
-    d_n(v) = sum [w']v d_n(w') is [w]v (n, w) plus block n at smaller
-    words; and, as the derivations commute (Ihara-Kaneko-Zagier; the tests
-    check it for every m + n below the CLI's largest weight), it equals
-    sum a_(m,u) d_m(d_n(u)), a combination of blocks m < n. So skipping
-    (n, w) changes no pivot row and no certificate. Such w are the pivot
-    words of weight r after block n - 1 (_lower, with d_(r-1)(x) as block
-    r - 1), as each pivot is its row's largest word; at weights 3 to 12
-    they name exactly the dependent generators. A wrong skip could only drop a generator from the span, so
-    module-level membership retries on a build with no skip set
-    (_skip=False) before it answers None.
+    A generator is the pair (n, w); its image is expanded once, as its
+    column, and nothing stores it. Most dependent generators are never
+    expanded (_skipped). Let (n, w) have w of weight r = k - n, the largest
+    word of some v = sum a_(m,u) d_m(u), m < n, u admissible of weight
+    r - m or x. Then d_n(v) = sum [w']v d_n(w') is [w]v (n, w) plus block n
+    at smaller words; and, as the derivations commute (Ihara-Kaneko-Zagier;
+    the tests check it for every m + n below the CLI's largest weight), it
+    equals sum a_(m,u) d_m(d_n(u)), a combination of blocks m < n. So
+    skipping (n, w) changes no pivot row and no certificate. Such w are
+    the pivot words of weight r through block n - 1, as each pivot is its
+    row's largest word: _lower builds weight r through those blocks only
+    (with d_(r-1)(x) as block r - 1 when n >= r) and keeps only the words.
+    At weights 3 to 12 they name exactly the dependent generators. A wrong
+    skip could only drop a generator from the span, so module-level
+    membership retries on a build with no skip set (_skip=False) before
+    it answers None.
 
     Elimination is fraction-free over Python ints (Bareiss-style) on
     augmented rows: one integer dict per column whose word keys hold the
@@ -168,10 +172,9 @@ class SpanSolver:
 
     def __init__(self, k: int, _skip: bool = True):
         self.weight = k
-        # the lower weights are built and freed before this weight's images
-        skip = _skipped(k) if _skip else set()
+        skip = _skipped(k, k - 2) if _skip else set()
         self.basis = span_basis(k) if k >= 2 else SpanBasis(k, [])
-        self.pivots = _echelon(self.basis.generators, skip)[0]
+        self.pivots = _echelon(self.basis.generators, skip)
 
     @property
     def rank(self) -> int:
@@ -198,14 +201,12 @@ class SpanSolver:
 
 
 def _echelon(gens: list[SpanGenerator], skip: set[tuple[int, str]]
-             ) -> tuple[dict[str, dict[str | int, int]], dict[int, int]]:
-    """(pivots, ends): the pivot rows of the generators not in skip, each
-    column reduced in generator order and pivoted at its largest word, and
-    ends[n] = the number of pivots after block n (ends[0] = 0)."""
+             ) -> dict[str, dict[str | int, int]]:
+    """The pivot rows of the generators not in skip: each image is expanded
+    once, as its column, reduced in order and pivoted at its largest word."""
     pivots: dict[str, dict[str | int, int]] = {}
-    ends = {0: 0}
     for j, gen in enumerate(gens):
-        if (gen.n, gen.word) not in skip:
+        if gen not in skip:
             row = gen.image.terms  # a fresh dict; images have int coefficients
             row[j] = 1
             _reduce(pivots, row)
@@ -216,8 +217,7 @@ def _echelon(gens: list[SpanGenerator], skip: set[tuple[int, str]]
                     for key in row:
                         row[key] = -row[key]
                 pivots[word] = row
-        ends[gen.n] = len(pivots)
-    return pivots, ends
+    return pivots
 
 
 def _reduce(pivots: dict, row: dict[str | int, int]) -> None:
@@ -262,22 +262,20 @@ def _cleared(p: NcPoly) -> tuple[int, dict[str, int]]:
 
 
 @cache
-def _lower(r: int) -> tuple[list[str], dict[int, int]]:
-    """The pivot words of weight r in creation order and the block ends of
-    _echelon, with d_(r-1)(x) reduced last as a block r - 1 of its own."""
-    gens = span_basis(r).generators + [SpanGenerator(r - 1, "x", dn_generator(r - 1))]
-    pivots, ends = _echelon(gens, _skipped(r))
-    return list(pivots), ends
+def _lower(r: int, blocks: int) -> list[str]:
+    """The pivot words, in creation order, of the weight-r echelon through
+    its first blocks blocks, where block r - 1 is d_(r-1)(x) alone."""
+    gens = [g for g in span_basis(r).generators if g.n <= blocks]
+    if blocks == r - 1:
+        gens.append(SpanGenerator(r - 1, "x"))
+    return list(_echelon(gens, _skipped(r, min(blocks, r - 2))))
 
 
-def _skipped(k: int) -> set[tuple[int, str]]:
-    """The generators of weight k that SpanSolver skips. Block 1 has none,
-    so weight k - 1 is never built."""
-    skip = set()
-    for n in range(2, k - 1):
-        words, ends = _lower(k - n)
-        skip.update((n, w) for w in words[:ends[min(n - 1, k - n - 1)]])
-    return skip
+def _skipped(k: int, blocks: int) -> set[tuple[int, str]]:
+    """The generators of weight-k blocks 2..blocks that SpanSolver skips.
+    Block 1 has none, so weight k - 1 is never built."""
+    return {(n, w) for n in range(2, blocks + 1)
+            for w in _lower(k - n, min(n - 1, k - n - 1))}
 
 
 @cache

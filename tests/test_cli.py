@@ -14,7 +14,7 @@ import pytest
 import mzvkit
 from mzvkit.cli import MAX_OUTPUT_LETTERS, MAX_SIZE, _check_size, _dump, main
 from mzvkit.ncpoly import NcPoly
-from mzvkit.span import MembershipCertificate
+from mzvkit.span import MembershipCertificate, SpanGenerator
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -661,6 +661,16 @@ class TestSpanCommand:
 
         monkeypatch.setattr(NcPoly, "to_dict", refuse)
         assert run(capsys, "span", "--weight", "6") == (0, "weight 6: 15 generators\n", "")
+
+    def test_text_mode_expands_no_image(self, capsys, monkeypatch):
+        # a generator is its (n, word) pair: counting 16383 of them at
+        # weight 16 expands none of their images
+        def refuse(*args):
+            raise AssertionError("text output must not expand a generator image")
+
+        monkeypatch.setattr(SpanGenerator, "image", property(refuse))
+        monkeypatch.setattr(mzvkit.span, "derivation", refuse)
+        assert run(capsys, "span", "--weight", "16") == (0, "weight 16: 16383 generators\n", "")
 
     # the JSON that --format json prints and that --dump writes in either mode
     SPAN6_SHA256 = "461f836018f0f6cd45e0d2a1131c09a099a5044ae37c8c57806b130236e48a30"

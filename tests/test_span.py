@@ -10,7 +10,7 @@ from conftest import word_bits
 from mzvkit import cli, span
 from mzvkit.identities import sum_word
 from mzvkit.maps import derivation, tau
-from mzvkit.ncpoly import NcPoly, accumulate, accumulate_scaled
+from mzvkit.ncpoly import NcPoly, accumulate, accumulate_scaled, admissible_words
 from mzvkit.span import (
     MembershipCertificate,
     NotInSpanError,
@@ -452,9 +452,10 @@ class TestSolverCost:
         # build, the lower-weight builds of its skip set included, and its
         # 55 duality-target memberships is deterministic once the cache of
         # lower-weight word lists is empty. Pivoting at the largest word
-        # and reading the skip set off the lower weights bring it to
-        # 3,667 + 2,423; giving either back, or echeloning the commutation
-        # relations again, fails here.
+        # and reading the skip set off the lower weights, each built only
+        # through the blocks its caller reads, bring it to 3,305 + 2,423;
+        # giving either back, or echeloning the commutation relations
+        # again, fails here.
         count = 0
         real = span.accumulate_scaled
 
@@ -470,6 +471,28 @@ class TestSolverCost:
             for l in range(1, 12 - m):
                 assert solver.membership(duality_target(11, m, l)) is not None
         assert count <= 6090
+
+    def test_images_expanded_once_where_reduced(self, monkeypatch):
+        # A generator is its (n, word) pair, and its image is expanded only
+        # as the column it is reduced into: at weight 12 exactly the rank
+        # (the 296 skipped generators are never expanded), at weight 11
+        # none (block 1 reads no lower weight), and at weight 10 only the
+        # 128 generators of block 1, the one block that weight 12's
+        # block 2 reads.
+        expanded = Counter()
+        real = span.derivation
+
+        def counting(n, p):
+            expanded[n + len(next(iter(p.terms)))] += 1
+            return real(n, p)
+
+        span._lower.cache_clear()
+        monkeypatch.setattr(span, "derivation", counting)
+        solver = SpanSolver(12)
+        assert solver.rank == 727 and expanded[12] == 727
+        assert expanded[11] == 0
+        assert expanded[10] == len(list(admissible_words(9))) == 128
+        assert all(len(g) == 2 for g in solver.basis.generators)
 
 
 def _full_build(k):
@@ -524,40 +547,39 @@ class TestCommutationRelations:
     def test_leads_are_the_dependent_generators(self, k):
         full, dependent = _full_build(k)
         gens = full.basis.generators
-        assert span._skipped(k) == {(gens[j].n, gens[j].word) for j in dependent}
+        assert span._skipped(k, k - 2) == {(gens[j].n, gens[j].word) for j in dependent}
         solver = SpanSolver(k)
         assert solver.rank == full.rank == len(gens) - len(dependent)
         assert solver.basis == full.basis
         _assert_same_build(solver, full)
 
-    @pytest.mark.parametrize("kind", ["dropped block end", "independent word", "dropped d_(r-1)(x) word"])
+    @pytest.mark.parametrize("kind", ["dropped block-1 list", "independent word", "dropped d_(r-1)(x) word"])
     @pytest.mark.parametrize("k", [6, 8, 10])
     def test_bad_word_lists_change_no_certificate(self, k, kind, monkeypatch, fresh_solvers):
         full, dependent = _full_build(k)
         gens = full.basis.generators
-        skipped = span._skipped(k)  # the real word lists, cached before the mutation
+        skipped = span._skipped(k, k - 2)  # the real word lists, cached before the mutation
         false = gens[max(set(range(len(gens))) - dependent)]  # the last independent one
         assert false.n >= 2  # block 1 reads no lower weight
         lower = span._lower
 
-        def mutated(r):
-            words, ends = lower(r)
+        def mutated(r, blocks):
+            words = lower(r, blocks)
             if kind == "independent word" and r == k - false.n:
-                # its word first, ahead of every block end
-                return [false.word, *words], {i: e + 1 for i, e in ends.items()}
-            if kind == "dropped d_(r-1)(x) word":
-                return words, {**ends, r - 1: ends[r - 2]}
-            if kind == "dropped block end" and r > 2:  # block 1's pivots counted as none
-                return words, {**ends, 1: 0}
-            return words, ends
+                return [false.word, *words]
+            if kind == "dropped d_(r-1)(x) word" and blocks == r - 1:
+                return lower(r, r - 2)  # the words before the d_(r-1)(x) block
+            if kind == "dropped block-1 list" and blocks == 1 and r > 2:
+                return []
+            return words
 
         monkeypatch.setattr(span, "_lower", mutated)
         if kind != "independent word":
             # fewer skips: the dropped generators are reduced to zero
-            assert span._skipped(k) < skipped
+            assert span._skipped(k, k - 2) < skipped
             _assert_same_build(SpanSolver(k), full)
             return
-        assert span._skipped(k) == skipped | {(false.n, false.word)}
+        assert span._skipped(k, k - 2) == skipped | {(false.n, false.word)}
         # no later generator can stand in for it, as all of those are
         # skipped: the span loses it, and each target that needs it is
         # certified by the build with no skip set
