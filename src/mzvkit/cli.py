@@ -1,8 +1,9 @@
 """Command-line front end: reproducible verification runs with JSON artifacts.
 
-Each handler returns ``(code, payload, text)`` and prints nothing; ``text`` is
-``None`` for commands that always print JSON. ``main`` alone serializes the
-payload, writes the ``--certificates``/``--dump`` file and prints.
+Each handler returns ``(code, payload, text)`` and prints nothing; the payload
+holds library objects, not their dicts, and ``text`` is ``None`` for commands
+that always print JSON. ``main`` alone decides whether the payload is
+serialized, writes the ``--certificates``/``--dump`` file and prints.
 
 Each handler imports the library layers it runs, so a command loads only
 those; importing this module loads none of them.
@@ -29,12 +30,11 @@ DEFAULT_ORDER_EQ3 = 8
 #              out of a 1 GB address-space limit past 1010 MB);
 #   --eq 2:    308/690/952/1000 MB at 10240/16000/19000/19500, N^1.9;
 #   lemmas:    17/112/683/998 MB at 120/480/960/1100, N^2.6;
-#   corollary: 83/191/474/1374 MB at weights 13/14/15/16 with
-#              --certificates (15: 23-27 s; 16: 243 s, a 96 MB file, run
-#              with no limit while the solver stored every generator
-#              image and ran the relation echelon, and 926 MB in process
-#              before the CLI's payload once that echelon was gone);
-#   span:      167/372/783 MB at 15/16/17 as JSON (1763 MB at 18 while the
+#   corollary: 66/154/402/1086 MB at weights 13/14/15/16 with
+#              --certificates (15: 23-30 s; 16: 103 s and a 96 MB file
+#              with no limit, and out of a 1 GB address-space limit
+#              after 122 s, while writing that file);
+#   span:      88/181/385 MB at 15/16/17 as JSON (1763 MB at 18 while the
 #              images were stored); as text it expands no image, 20/24 MB
 #              at 17/18 (the cap holds for both);
 #   dual:      413/812/1609 MB at index weights 5*10^6, 10^7, 2*10^7.
@@ -99,7 +99,11 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def _lay(o, ind: str, out: list[str]) -> list[str]:
-    """Append to out the indent=2 layout of o, whose line is indented by ind."""
+    """Append to out the indent=2 layout of o, whose line is indented by ind;
+    an object with a to_dict method is laid out as its to_dict(), tested
+    first since a NamedTuple is a tuple and a zero NcPoly is falsy."""
+    if hasattr(o, "to_dict"):
+        o = o.to_dict()
     inner = ind + "  "
     if not (isinstance(o, (dict, list, tuple)) and o):
         out.append(_encode(o))  # a scalar, {} or []
@@ -125,7 +129,9 @@ def _lay(o, ind: str, out: list[str]) -> list[str]:
 
 
 def _dump(obj) -> str:
-    """obj as the json module writes it with indent=2, byte for byte, in one pass."""
+    """json.dumps(obj, indent=2) byte for byte, with each object that has a
+    to_dict method replaced by its to_dict(), in one pass: each such dict
+    exists only while it is laid out."""
     return "".join(_lay(obj, "", []))
 
 
@@ -150,7 +156,7 @@ def cmd_verify_theorem(args) -> Result:
             line += f"  first failure at {r.failing_monomial}: {r.failing_diff}"
         lines.append(line)
     code = 0 if all(r.passed for r in reports) else 1
-    return code, [r.to_dict() for r in reports], "\n".join(lines)
+    return code, reports, "\n".join(lines)
 
 
 def cmd_verify_corollary(args) -> Result:
@@ -163,10 +169,7 @@ def cmd_verify_corollary(args) -> Result:
         raise ValueError("--m and --l must be given together")
     else:
         cases = [(args.m, args.l, span.corollary_check(k, args.m, args.l))]
-    certs = [
-        {"k": k, "m": m, "l": l, "certificate": cert.to_dict()}
-        for m, l, cert in cases
-    ]
+    certs = [{"k": k, "m": m, "l": l, "certificate": cert} for m, l, cert in cases]
     # a target of 0 is certified by the empty combination and proves nothing
     zeros = sum(cert.target.is_zero() for _, _, cert in cases)
     return 0, certs, (f"PASS  corollary at weight {k}: {len(cases)} case(s) certified, "
@@ -194,7 +197,7 @@ def cmd_derive(args) -> Result:
     if n > 27 or size * 2 ** (n - 1) * (size + n) > MAX_OUTPUT_LETTERS:
         raise ValueError(f"d_{n} on a length-{len(word)} word may exceed "
                          f"{MAX_OUTPUT_LETTERS} letters")
-    return 0, derivation(n, NcPoly.word(word)).to_dict(), None
+    return 0, derivation(n, NcPoly.word(word)), None
 
 
 def cmd_delta(args) -> Result:
@@ -212,7 +215,7 @@ def cmd_delta(args) -> Result:
     if n >= 0 and (k > 27 or comb(n + size + 1, k) * (n + size) > MAX_OUTPUT_LETTERS):
         raise ValueError(f"Delta_{args.var} to order {n} of a length-{len(word)} "
                          f"word may exceed {MAX_OUTPUT_LETTERS} letters")
-    return 0, delta_subst(args.var, NcPoly.word(word), n).to_dict(), None
+    return 0, delta_subst(args.var, NcPoly.word(word), n), None
 
 
 def _eval_result(r) -> Result:
@@ -239,18 +242,8 @@ def cmd_span(args) -> Result:
     k = _check_size("weight of span", args.weight)
     from .span import span_basis
 
-    basis = span_basis(k)
-    text = f"weight {basis.weight}: {len(basis.generators)} generators"
-    if args.format == "text" and not args.out:
-        return 0, None, text  # no JSON is written, so none is built
-    payload = {
-        "weight": basis.weight,
-        "generators": [
-            {"n": g.n, "word": g.word, "image": g.image.to_dict()}
-            for g in basis.generators
-        ],
-    }
-    return 0, payload, text
+    gens = span_basis(k).generators
+    return 0, {"weight": k, "generators": gens}, f"weight {k}: {len(gens)} generators"
 
 
 # -- parser -----------------------------------------------------------

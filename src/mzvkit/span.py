@@ -31,6 +31,9 @@ class SpanGenerator(NamedTuple):
         """derivation(n, word), weight-homogeneous, expanded on each access."""
         return derivation(self.n, NcPoly.word(self.word))
 
+    def to_dict(self) -> dict:
+        return {"n": self.n, "word": self.word, "image": self.image.to_dict()}
+
 
 class SpanBasis(NamedTuple):
     weight: int

@@ -471,6 +471,21 @@ class TestHostileInput:
         assert err == f"error: input nested too deeply for Python's recursion limit ({limit})\n"
 
     @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["span", "--weight", "1"], "weight must be >= 2"),
+            (["span", "--weight", "0"], "weight must be >= 2"),
+            (["delta", "--var", "u", "--order", "-1", "x"], "truncation order must be >= 0"),
+            (["derive", "0", "xy"], "derivation order must be >= 1"),
+            (["derive", "-3", "xy"], "derivation order must be >= 1"),
+        ],
+        ids=["span-1", "span-0", "delta-order-minus-1", "derive-0", "derive-minus-3"],
+    )
+    def test_below_a_library_minimum_exits_2(self, capsys, argv, refused):
+        # the library's own check refuses these, and the CLI reports it
+        assert run(capsys, *argv) == (2, "", f"error: {refused}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["dual", "(100000000000)"],
@@ -720,12 +735,17 @@ class TestPinnedOutput:
         ],
     )
     def test_text_mode_does_not_serialize(self, capsys, monkeypatch, argv):
+        # nothing is encoded, and no result is converted to its dict
         import mzvkit.cli as cli_mod
+        from mzvkit.identities import IdentityReport
+        from mzvkit.series import Series3
 
         def refuse(obj):
             raise AssertionError("text output must not encode JSON")
 
         monkeypatch.setattr(cli_mod, "_dump", refuse)
+        for cls in (NcPoly, Series3, MembershipCertificate, IdentityReport, SpanGenerator):
+            monkeypatch.setattr(cls, "to_dict", refuse)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out
 
@@ -776,6 +796,26 @@ class TestDump:
         for _ in range(20000):
             value = _fuzz_value(rng)
             assert _dump(value) == json.dumps(value, indent=2), repr(value)
+
+    def test_lays_out_each_object_as_its_to_dict(self):
+        # NamedTuples are tuples and a zero NcPoly is falsy: each must still
+        # be laid out as its to_dict(), alone or nested
+        from mzvkit.identities import IdentityReport
+        from mzvkit.series import delta_subst
+
+        objs = [
+            NcPoly.zero(),
+            NcPoly.word("xy", 3),
+            delta_subst("u", NcPoly.word("xy"), 2),
+            IdentityReport("duality-zeta", 3, False, (1, 0, 0), "-xy"),
+            IdentityReport("duality-k1", 4, True),
+            MembershipCertificate(NcPoly.word("xxy", -1), []),
+            SpanGenerator(1, "xy"),
+        ]
+        for o in objs:
+            assert _dump(o) == json.dumps(o.to_dict(), indent=2)
+        dicts = [o.to_dict() for o in objs]
+        assert _dump({"all": objs}) == json.dumps({"all": dicts}, indent=2)
 
     def test_refuses_what_json_refuses(self):
         for value in ({(1, 2): 0}, [{"a": object()}], {"a": [{"b": {1j}}]}):
