@@ -2,20 +2,23 @@
 
 Each handler returns ``(code, payload, text)`` and prints nothing; the payload
 holds library objects, not their dicts, and ``text`` is ``None`` for commands
-that always print JSON. ``main`` alone decides whether the payload is
-serialized, writes the ``--certificates``/``--dump`` file and prints.
+that always print JSON. ``main`` alone serializes: each destination, the
+``--certificates``/``--dump`` file and stdout when JSON goes there, gets the
+payload from one layout pass, chunk by chunk; ``text`` is printed after it.
 
 Each handler imports the library layers it runs, so a command loads only
 those; importing this module loads none of them.
 
 Exit status: 0 when all requested checks pass, 1 on a verification failure,
-2 on usage errors. ``run`` is the process entry point (``python -m
-mzvkit.cli`` and the ``mzvkit`` script): ``main``, then a frozen collector.
+2 on usage errors and failed writes (JSON already written to stdout stays
+there). ``run`` is the process entry point (``python -m mzvkit.cli`` and the
+``mzvkit`` script): ``main``, then a frozen collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import sys
@@ -30,26 +33,24 @@ DEFAULT_ORDER_EQ3 = 8
 #              out of a 1 GB address-space limit past 1010 MB);
 #   --eq 2:    308/690/952/1000 MB at 10240/16000/19000/19500, N^1.9;
 #   lemmas:    17/112/683/998 MB at 120/480/960/1100, N^2.6;
-#   corollary: 66/154/402/1086 MB at weights 13/14/15/16 with
-#              --certificates (15: 23-30 s; 16: 103 s and a 96 MB file
-#              with no limit, and out of a 1 GB address-space limit
-#              after 122 s, while writing that file);
-#   span:      88/181/385 MB at 15/16/17 as JSON (1763 MB at 18 while the
-#              images were stored); as text it expands no image, 20/24 MB
-#              at 17/18 (the cap holds for both);
+#   corollary: 48/112/304/870 MB at weights 13/14/15/16 with
+#              --certificates (15: 23-30 s; 16: about 100 s, a 96 MB file);
+#   span:      20/24/33/51 MB at 15/16/17/18 as JSON and 20/24 MB at 17/18
+#              as text, so memory no longer sets its cap (ROADMAP item 14);
 #   dual:      413/812/1609 MB at index weights 5*10^6, 10^7, 2*10^7.
 # --eq all runs each identity, so it takes the smallest order.
 MAX_SIZE = {
     "order of --eq 2": 19000,
     "order of --eq 3": 16,
     "order of --eq lemmas": 1100,
-    "weight of verify corollary": 15,
+    "weight of verify corollary": 16,
     "weight of span": 17,
     "weight of dual": 10**7,
 }
 MAX_SIZE["order of --eq all"] = min(v for k, v in MAX_SIZE.items() if k.startswith("order"))
 # an index of larger weight, and a derive or delta output that could be
-# longer, is refused before any word is built
+# longer, is refused before any word is built (derive 20 xxxyyy peaks at
+# 889 MB, delta --var u --order 582 xy at 140 MB)
 MAX_OUTPUT_LETTERS = 10**8
 
 Result = tuple[int, object, str | None]
@@ -98,41 +99,37 @@ _encode = json.JSONEncoder(separators=(",\x00", ": ")).encode
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _lay(o, ind: str, out: list[str]) -> list[str]:
-    """Append to out the indent=2 layout of o, whose line is indented by ind;
-    an object with a to_dict method is laid out as its to_dict(), tested
-    first since a NamedTuple is a tuple and a zero NcPoly is falsy."""
+def _lay(o, ind: str, write) -> None:
+    """Pass the indent=2 layout of o, whose line is indented by ind, to write
+    chunk by chunk, keeping none; an object with a to_dict method is laid out
+    as its to_dict(), tested first since a NamedTuple is a tuple and a zero
+    NcPoly is falsy."""
     if hasattr(o, "to_dict"):
         o = o.to_dict()
     inner = ind + "  "
     if not (isinstance(o, (dict, list, tuple)) and o):
-        out.append(_encode(o))  # a scalar, {} or []
+        write(_encode(o))  # a scalar, {} or []
     elif isinstance(o, dict):
         for i, (k, v) in enumerate(o.items()):  # json converts a non-string key
             key = _encode(k) if isinstance(k, str) else _encode({k: 0})[1:-4]
-            out.append(f"{',' if i else '{'}\n{inner}{key}: ")
-            _lay(v, inner, out)
-        out.append(f"\n{ind}}}")
+            write(f"{',' if i else '{'}\n{inner}{key}: ")
+            _lay(v, inner, write)
+        write(f"\n{ind}}}")
     elif all(type(d) is dict and d and _SCALARS.issuperset(map(type, d.values())) for d in o):
-        # a record list is one block: with each "\x00" a newline and indent,
-        # "},\n" + deep + "{" occurs only between two dicts (no scalar ends in "}")
+        # a record list is one block, its body written alone and never copied:
+        # with each "\x00" a newline and indent, "},\n" + deep + "{" occurs
+        # only between two dicts (no scalar ends in "}")
         deep = inner + "  "
         body = _encode(o)[2:-2].replace("\x00", "\n" + deep)
         body = body.replace(f"}},\n{deep}{{", f"\n{inner}}},\n{inner}{{\n{deep}")
-        out.append(f"[\n{inner}{{\n{deep}{body}\n{inner}}}\n{ind}]")
+        write(f"[\n{inner}{{\n{deep}")
+        write(body)
+        write(f"\n{inner}}}\n{ind}]")
     else:
         for i, v in enumerate(o):
-            out.append(f"{',' if i else '['}\n{inner}")
-            _lay(v, inner, out)
-        out.append(f"\n{ind}]")
-    return out
-
-
-def _dump(obj) -> str:
-    """json.dumps(obj, indent=2) byte for byte, with each object that has a
-    to_dict method replaced by its to_dict(), in one pass: each such dict
-    exists only while it is laid out."""
-    return "".join(_lay(obj, "", []))
+            write(f"{',' if i else '['}\n{inner}")
+            _lay(v, inner, write)
+        write(f"\n{ind}]")
 
 
 # -- subcommand handlers ----------------------------------------------
@@ -318,12 +315,15 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     try:
         code, payload, text = args.func(args)
-        if args.format == "json" or text is None:
-            text = _dump(payload)
-        if out:  # the bytes --format json prints, encoded once
-            with open(out, "w") as fh:
-                print(text if args.format == "json" else _dump(payload), file=fh)
-        print(text)
+        to_stdout = args.format == "json" or text is None
+        with open(out, "w") if out else contextlib.nullcontext() as fh:
+            writes = [f.write for f in (fh, to_stdout and sys.stdout) if f]
+            if writes:  # one layout pass, each chunk to every destination
+                write = writes[0] if len(writes) == 1 else lambda s: [w(s) for w in writes]
+                _lay(payload, "", write)
+                write("\n")
+        if not to_stdout:  # once the file is complete
+            print(text)
     except _falsification() as exc:
         print(f"FAIL  {exc}", file=sys.stderr)
         return 1

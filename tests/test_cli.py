@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import os
 import random
@@ -12,28 +13,28 @@ from pathlib import Path
 import pytest
 
 import mzvkit
-from mzvkit.cli import MAX_OUTPUT_LETTERS, MAX_SIZE, _check_size, _dump, main
+from mzvkit.cli import MAX_OUTPUT_LETTERS, MAX_SIZE, _check_size, _lay, main
 from mzvkit.ncpoly import NcPoly
 from mzvkit.span import MembershipCertificate, SpanGenerator
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
-def _run_under_1gb(argv):
-    """Run the CLI on argv in a child under a 1 GB address-space limit, so
-    that an attempt to build a huge output fails at once; the child must
-    finish within 1 s."""
+def _run_under_1gb(argv, limit=1 << 30, seconds=1.0):
+    """Run the CLI on argv in a child under an address-space limit of limit
+    bytes, 1 GB by default, so that an attempt to build a huge output fails
+    at once; the child must finish within seconds."""
     resource = pytest.importorskip("resource")
 
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     start = time.perf_counter()
     r = subprocess.run(
         [sys.executable, "-m", "mzvkit.cli", *argv], capture_output=True, text=True,
         env=_child_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=limit_memory,
     )
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < seconds
     return r
 
 
@@ -437,7 +438,8 @@ HOSTILE = {
         "verify", "theorem", "--eq", "lemmas", "--order", "100000",
     ],
     "theorem-order-1e9": lambda tmp: ["verify", "theorem", "--order", "1000000000"],
-    # 1763 MB as JSON and 1125 MB as text at weight 18
+    # past the cap, though weight 18 peaks at about 51 MB as JSON and 24 MB
+    # as text (item 14 of ROADMAP.md)
     "span-weight-18": lambda tmp: ["span", "--weight", "18"],
     # 1609 MB at index weight 2*10^7
     "dual-weight-2e7": lambda tmp: ["dual", "(20000000)"],
@@ -450,7 +452,7 @@ SIZE_LIMITS = [
     ("order of --eq 3", 16, "order 17 of --eq 3 exceeds 16"),
     ("order of --eq lemmas", 1100, "order 1101 of --eq lemmas exceeds 1100"),
     ("order of --eq all", 16, "order 17 of --eq all exceeds 16"),
-    ("weight of verify corollary", 15, "weight 16 of verify corollary exceeds 15"),
+    ("weight of verify corollary", 16, "weight 17 of verify corollary exceeds 16"),
     ("weight of span", 17, "weight 18 of span exceeds 17"),
     ("weight of dual", 10**7, "weight 10000001 of dual exceeds 10000000"),
 ]
@@ -509,9 +511,9 @@ class TestHostileInput:
         [
             (["span", "--weight", "40"], "weight 40 of span exceeds 17"),
             (["verify", "corollary", "--weight", "40"],
-             "weight 40 of verify corollary exceeds 15"),
+             "weight 40 of verify corollary exceeds 16"),
             (["verify", "corollary", "--weight", "40", "--m", "1", "--l", "2"],
-             "weight 40 of verify corollary exceeds 15"),
+             "weight 40 of verify corollary exceeds 16"),
         ],
         ids=["span", "corollary", "corollary-m-l"],
     )
@@ -525,22 +527,22 @@ class TestHostileInput:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", "corollary", "--weight", "16"],
+            ["verify", "corollary", "--weight", "17"],
             ["verify", "corollary", "--weight", "18", "--m", "1", "--l", "2"],
         ],
         ids=["corollary", "corollary-m-l"],
     )
     def test_infeasible_corollary_weight_exits_2(self, argv):
-        # past weight 15, the measured limit of verify corollary; refused
+        # past weight 16, the measured limit of verify corollary; refused
         # before any generator is built
         r = _run_under_1gb(argv)
         assert (r.returncode, r.stdout) == (2, "")
         k = argv[3]
-        assert r.stderr == (f"error: weight {k} of verify corollary exceeds 15, "
+        assert r.stderr == (f"error: weight {k} of verify corollary exceeds 16, "
                             "the largest whose peak memory stays under 1 GB\n")
 
     @pytest.mark.parametrize(
-        "argv", [["verify", "corollary", "--weight", "16"], ["span", "--weight", "18"]],
+        "argv", [["verify", "corollary", "--weight", "17"], ["span", "--weight", "18"]],
         ids=["corollary", "span"],
     )
     def test_infeasible_weight_loads_no_span(self, tmp_path, argv):
@@ -581,6 +583,14 @@ class TestHostileInput:
         r = _run_under_1gb(HOSTILE[case](tmp_path))
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr == f"error: {refused}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_certificate_write_exits_2(self):
+        # every write to /dev/full fails; the PASS line follows only a
+        # complete file, so none is printed
+        r = _run_under_1gb(["verify", "corollary", "--weight", "5", "--certificates", "/dev/full"])
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
     def test_size_limits_are_the_table(self):
         assert MAX_SIZE == {what: top for what, top, _ in SIZE_LIMITS}
@@ -703,6 +713,17 @@ class TestSpanCommand:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SPAN6_SHA256
         if fmt == "text":
             assert out == "weight 6: 15 generators\n"
+        else:  # one layout pass writes the file and stdout
+            assert hashlib.sha256(out.encode()).hexdigest() == self.SPAN6_SHA256
+
+    def test_json_fits_in_128_mb(self):
+        # each image is expanded, laid out and written in turn, and no layout
+        # of the 55 MB artifact is held: about 24 MB ru_maxrss
+        argv = ["--format", "json", "span", "--weight", "16"]
+        r = _run_under_1gb(argv, limit=128 << 20, seconds=60.0)
+        assert (r.returncode, r.stderr) == (0, "")
+        digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+        assert digest == "85f23602a91202b8876c8b9e76e7df1c5beeaded8271dee99a4ab8739b8e8e4b"
 
 
 class TestPinnedOutput:
@@ -740,10 +761,10 @@ class TestPinnedOutput:
         from mzvkit.identities import IdentityReport
         from mzvkit.series import Series3
 
-        def refuse(obj):
+        def refuse(*args):
             raise AssertionError("text output must not encode JSON")
 
-        monkeypatch.setattr(cli_mod, "_dump", refuse)
+        monkeypatch.setattr(cli_mod, "_lay", refuse)
         for cls in (NcPoly, Series3, MembershipCertificate, IdentityReport, SpanGenerator):
             monkeypatch.setattr(cls, "to_dict", refuse)
         code, out, _ = run(capsys, *argv)
@@ -789,13 +810,20 @@ def _fuzz_value(rng, depth=0):
     return {_fuzz_key(rng): [_fuzz_flat_dict(rng, 1 + rng.randrange(3)) for _ in range(n)]}
 
 
+def _laid_out(obj) -> str:
+    """What _lay writes for obj, as one string."""
+    buf = io.StringIO()
+    _lay(obj, "", buf.write)
+    return buf.getvalue()
+
+
 class TestDump:
     def test_matches_json_dumps_indent_2(self):
-        # json.dumps(indent=2) is the oracle that _dump must match byte for byte
+        # json.dumps(indent=2) is the oracle that _lay must match byte for byte
         rng = random.Random(20000)
         for _ in range(20000):
             value = _fuzz_value(rng)
-            assert _dump(value) == json.dumps(value, indent=2), repr(value)
+            assert _laid_out(value) == json.dumps(value, indent=2), repr(value)
 
     def test_lays_out_each_object_as_its_to_dict(self):
         # NamedTuples are tuples and a zero NcPoly is falsy: each must still
@@ -813,16 +841,16 @@ class TestDump:
             SpanGenerator(1, "xy"),
         ]
         for o in objs:
-            assert _dump(o) == json.dumps(o.to_dict(), indent=2)
+            assert _laid_out(o) == json.dumps(o.to_dict(), indent=2)
         dicts = [o.to_dict() for o in objs]
-        assert _dump({"all": objs}) == json.dumps({"all": dicts}, indent=2)
+        assert _laid_out({"all": objs}) == json.dumps({"all": dicts}, indent=2)
 
     def test_refuses_what_json_refuses(self):
         for value in ({(1, 2): 0}, [{"a": object()}], {"a": [{"b": {1j}}]}):
             with pytest.raises(TypeError):
                 json.dumps(value, indent=2)
             with pytest.raises(TypeError):
-                _dump(value)
+                _laid_out(value)
 
 
 class TestDeterminism:
